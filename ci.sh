@@ -30,6 +30,12 @@
 #                                     counting global allocator asserts 0
 #                                     steady-state heap allocations per
 #                                     candidate on iriw+2w
+#   5b. textbench litmus-sweep      — two seconds of the text-in
+#                                     benchmark on seed 1: every verdict is
+#                                     checked against its reference, so a
+#                                     fast-path verdict bug fails CI; the
+#                                     step fails unless the last line
+#                                     reports "correct": true
 #   6. perf_pipeline --quick --gate — the tracked perf bench (eager vs
 #                                     streaming vs pruned vs arena-backed
 #                                     enumeration+checking, thin-air
@@ -94,6 +100,14 @@ run cargo test -q --workspace
 run cargo test -q --test consistency_differential
 run cargo test -q --test robustness --features fault-injection -- --test-threads=1
 run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
+echo "==> textbench --workload litmus-sweep --seed 1 --seconds 2 --trace 0"
+textbench_last=$(cargo run --release --offline --quiet --manifest-path textbench/Cargo.toml -- \
+    --workload litmus-sweep --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "$textbench_last"
+if [[ "$textbench_last" != *'"correct": true'* ]]; then
+    echo "textbench litmus-sweep: verdicts or exact counts are not correct" >&2
+    exit 1
+fi
 run cargo bench -p herd-bench --bench perf_pipeline -- \
     --quick --gate --pr "$PR" --json "$PWD/BENCH_pr${PR}.json"
 run cargo bench -p herd-bench --bench perf_pipeline -- --compare --gate

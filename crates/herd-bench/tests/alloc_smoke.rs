@@ -7,7 +7,9 @@
 //! **zero** heap allocations — enumeration state, the witness relations,
 //! the Power ppo fixpoint, the axiom temporaries and the pruning
 //! machinery all live in reused storage. A counting global allocator
-//! turns that claim into an assert on the `iriw+2w` family.
+//! turns that claim into an assert on the `iriw+2w` family (a tight ppo
+//! envelope: ppo fixed per combination) and on a coRR skeleton (a
+//! non-tight one: ppo computed per candidate).
 //!
 //! [`RelArena`]: herd_core::arena::RelArena
 #![cfg(feature = "alloc-count")]
@@ -16,6 +18,8 @@ use herd_bench::alloc_count::{allocation_count, CountingAllocator};
 use herd_bench::iriw_scaled;
 use herd_core::arch::Power;
 use herd_core::arena::RelArena;
+use herd_core::enumerate::{Skeleton, SkeletonBuilder};
+use herd_core::model::Architecture;
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -26,10 +30,10 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// show up in the other's per-candidate deltas.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-#[test]
-fn iriw_2w_steady_state_allocates_zero_per_candidate() {
+/// Streams `sk` under Power through the staged checker and asserts that
+/// the steady state performs no heap allocation per candidate.
+fn assert_steady_state_allocates_zero(sk: &Skeleton, what: &str) {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let sk = iriw_scaled(2);
     let power = Power::new();
     let mut arena = RelArena::new(0);
 
@@ -38,7 +42,7 @@ fn iriw_2w_steady_state_allocates_zero_per_candidate() {
     let stats = sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {
         counts.push(allocation_count());
     });
-    assert!(stats.emitted > 16, "iriw+2w must stream a meaningful candidate count");
+    assert!(stats.emitted > 16, "{what} must stream a meaningful candidate count");
     assert!(counts.len() < 4096, "observation buffer must not have grown");
 
     // Warm-up: the first candidates grow the arena pool, the coherence
@@ -50,7 +54,7 @@ fn iriw_2w_steady_state_allocates_zero_per_candidate() {
     let per_candidate: Vec<u64> = steady.windows(2).map(|w| w[1] - w[0]).collect();
     assert!(
         per_candidate.iter().all(|&d| d == 0),
-        "steady-state candidates allocated: deltas {per_candidate:?}"
+        "{what}: steady-state candidates allocated: deltas {per_candidate:?}"
     );
 
     // And the whole steady-state tail together allocated nothing either
@@ -58,8 +62,34 @@ fn iriw_2w_steady_state_allocates_zero_per_candidate() {
     assert_eq!(
         steady.first().copied(),
         steady.last().copied(),
-        "allocation counter moved across the steady-state window"
+        "{what}: allocation counter moved across the steady-state window"
     );
+}
+
+/// iriw+2w: a tight ppo envelope, so the rf scope carries the whole
+/// combination's ppo and each coherence choice checks only what reads co.
+#[test]
+fn iriw_2w_steady_state_allocates_zero_per_candidate() {
+    assert_steady_state_allocates_zero(&iriw_scaled(2), "iriw+2w");
+}
+
+/// coRR with three reads against three writes: `po-loc ∩ RR` makes the
+/// Power envelope non-tight (rdw may order the reads), so every candidate
+/// computes its exact ppo in the coherence scope — allocation-free too.
+#[test]
+fn non_tight_corrr_steady_state_allocates_zero_per_candidate() {
+    let mut b = SkeletonBuilder::new();
+    b.write(0, "x", 1);
+    b.write(0, "x", 2);
+    b.write(2, "x", 3);
+    for _ in 0..3 {
+        b.read(1, "x");
+    }
+    let sk = b.build();
+    let x = sk.stream().next().expect("a candidate");
+    let env = Power::new().ppo_envelope(x.core()).expect("Power has an envelope");
+    assert!(!env.tight(x.core()), "the skeleton must exercise the non-tight scope");
+    assert_steady_state_allocates_zero(&sk, "coRRR+3w");
 }
 
 /// The same engine must also be allocation-free across *rf-scope*

@@ -18,7 +18,7 @@
 use crate::arena::{RelArena, RelId};
 use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
-use crate::model::{Architecture, ArenaArchRels, Tractability};
+use crate::model::{Architecture, ArenaArchRels, Fig18Fences, Tractability};
 use crate::ppo::{self, PpoConfig, PpoEnvelope};
 use crate::relation::Relation;
 
@@ -92,19 +92,8 @@ impl Arm {
         }
     }
 
-    /// The fence relation from a core alone: directions and fence
-    /// placement are skeleton-invariant, so this equals
-    /// [`Arm::fences`](Architecture::fences) on every candidate.
-    fn fences_static(&self, core: &ExecCore) -> Relation {
-        let st = core.fence(Fence::DmbSt).union(&core.fence(Fence::DsbSt));
-        let st_ww = core.dir_restrict(&st, Some(Dir::W), Some(Dir::W));
-        // Full or lightweight, .st ∩ WW ends up in fences either way.
-        core.fence(Fence::Dmb).union(&core.fence(Fence::Dsb)).union(&st_ww)
-    }
-
-    /// Arena `(fences, ffence)` pair for one candidate — skeleton
-    /// -invariant, shared by the exact and frozen-ppo relation
-    /// evaluators.
+    /// Arena `(fences, ffence)` pair for one candidate (skeleton
+    /// -invariant).
     fn fences_arena(&self, core: &ExecCore, arena: &mut RelArena) -> (RelId, RelId) {
         // st_ww = (dmb.st ∪ dsb.st) ∩ WW.
         let st_ww = arena.alloc_from(core.fence_ref(Fence::DmbSt));
@@ -158,14 +147,6 @@ impl Architecture for Arm {
         self.variant == ArmVariant::ProposedLlh
     }
 
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        self.fences_static(core)
-    }
-
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        Some(ppo::compute_static(core, &self.ppo_config()).union(&self.thin_air_fences(core)))
-    }
-
     fn tractability(&self) -> Tractability {
         Tractability::Conditional
     }
@@ -174,24 +155,23 @@ impl Architecture for Arm {
         Some(PpoEnvelope::compute(core, &self.ppo_config()))
     }
 
+    fn fig18_fences(&self, core: &ExecCore) -> Option<Fig18Fences> {
+        // Directions and fence placement are skeleton-invariant, so these
+        // equal `fences(x)`/`ffence(x)` on every candidate; full or
+        // lightweight, `.st ∩ WW` ends up in `fences` either way.
+        let st = core.fence(Fence::DmbSt).union(&core.fence(Fence::DsbSt));
+        let st_ww = core.dir_restrict(&st, Some(Dir::W), Some(Dir::W));
+        let full = core.fence(Fence::Dmb).union(&core.fence(Fence::Dsb));
+        let fences = full.union(&st_ww);
+        let ffence = if self.st_fences_lightweight { full } else { fences.clone() };
+        Some(Fig18Fences { fences, ffence })
+    }
+
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
         let ppo = ppo::compute_arena(fx, &self.ppo_config(), arena);
         let (fences, ffence) = self.fences_arena(fx.core.as_ref(), arena);
         let prop = prop_power_arm_arena(fx, ppo, fences, ffence, arena);
         ArenaArchRels { ppo, fences, prop }
-    }
-
-    fn arch_rels_arena_frozen(
-        &self,
-        fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
-        arena: &mut RelArena,
-    ) -> ArenaArchRels {
-        // Fences are skeleton-invariant; prop is rebuilt from the frozen
-        // bound so nothing depends on the candidate's rdw/rfi/detour.
-        let (fences, ffence) = self.fences_arena(fx.core.as_ref(), arena);
-        let prop = prop_power_arm_arena(fx, ppo_bound, fences, ffence, arena);
-        ArenaArchRels { ppo: ppo_bound, fences, prop }
     }
 }
 

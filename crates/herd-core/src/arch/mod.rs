@@ -10,7 +10,7 @@ mod tso;
 
 pub use arm::{Arm, ArmVariant};
 pub use cpp_ra::{CppRa, CppRaStrength};
-pub use power::{prop_power_arm, Power};
+pub use power::{prop_power_arm, prop_power_arm_co, prop_power_arm_rf, Power};
 pub use sc::Sc;
 pub use sparc::{Pso, Rmo};
 pub use tso::Tso;

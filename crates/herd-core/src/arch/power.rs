@@ -11,10 +11,10 @@
 //! prop      = (prop-base ∩ WW) ∪ (com*; prop-base*; ffence; hb*)
 //! ```
 
-use crate::arena::{RelArena, RelId};
+use crate::arena::{RelArena, RelId, RelSrc};
 use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
-use crate::model::{Architecture, ArenaArchRels, Tractability};
+use crate::model::{Architecture, ArenaArchRels, Fig18Fences, Tractability};
 use crate::ppo::{self, PpoConfig, PpoEnvelope};
 use crate::relation::Relation;
 
@@ -66,8 +66,7 @@ impl Power {
     }
 
     /// Arena twin of [`Power::fences_static`]: computes the
-    /// `(fences, ffence)` slot pair for one candidate. Shared by the
-    /// exact and frozen-ppo relation evaluators.
+    /// `(fences, ffence)` slot pair for one candidate.
     fn fences_arena(core: &ExecCore, arena: &mut RelArena) -> (RelId, RelId) {
         let fences = arena.alloc_from(core.fence_ref(Fence::Lwsync));
         let t = arena.alloc();
@@ -108,23 +107,16 @@ impl Architecture for Power {
         prop_power_arm(x, &self.ppo(x), &self.fences(x), &self.ffence(x))
     }
 
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        Power::fences_static(core)
-    }
-
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        // The static ppo fixpoint (rdw/rfi/detour emptied) is ⊆ ppo on
-        // every candidate; the static fence suffix covers the fence part
-        // of hb and, compositionally, the A-cumulativity pairs.
-        Some(ppo::compute_static(core, &self.ppo_cfg).union(&self.thin_air_fences(core)))
-    }
-
     fn tractability(&self) -> Tractability {
         Tractability::Conditional
     }
 
     fn ppo_envelope(&self, core: &ExecCore) -> Option<PpoEnvelope> {
         Some(PpoEnvelope::compute(core, &self.ppo_cfg))
+    }
+
+    fn fig18_fences(&self, core: &ExecCore) -> Option<Fig18Fences> {
+        Some(Fig18Fences { fences: Power::fences_static(core), ffence: core.fence(Fence::Sync) })
     }
 
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
@@ -134,20 +126,6 @@ impl Architecture for Power {
         let (fences, ffence) = Power::fences_arena(core, arena);
         let prop = prop_power_arm_arena(fx, ppo, fences, ffence, arena);
         ArenaArchRels { ppo, fences, prop }
-    }
-
-    fn arch_rels_arena_frozen(
-        &self,
-        fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
-        arena: &mut RelArena,
-    ) -> ArenaArchRels {
-        // Fences are skeleton-invariant; prop is rebuilt from the frozen
-        // bound (its hb* sequences through ppo), so every returned
-        // relation is independent of the candidate's rdw/rfi/detour.
-        let (fences, ffence) = Power::fences_arena(fx.core.as_ref(), arena);
-        let prop = prop_power_arm_arena(fx, ppo_bound, fences, ffence, arena);
-        ArenaArchRels { ppo: ppo_bound, fences, prop }
     }
 }
 
@@ -172,7 +150,9 @@ pub fn prop_power_arm(
 
 /// Arena twin of [`prop_power_arm`]: computes the Fig 18 propagation
 /// order for one arena-backed candidate from already-computed `ppo`,
-/// `fences` and `ffence` slots. Temporaries live under the caller's mark.
+/// `fences` and `ffence` slots — the composition of
+/// [`prop_power_arm_rf`] and [`prop_power_arm_co`]. Temporaries live
+/// under the caller's mark.
 pub fn prop_power_arm_arena(
     fx: &ExecFrame<'_>,
     ppo: RelId,
@@ -180,32 +160,59 @@ pub fn prop_power_arm_arena(
     ffence: RelId,
     arena: &mut RelArena,
 ) -> RelId {
-    let core = fx.core.as_ref();
     // hb = ppo ∪ fences ∪ rfe, and hb*.
     let hb = arena.alloc_from(ppo);
     arena.union_into(hb, fences);
     arena.union_into(hb, fx.rels.rfe);
     let hb_star = arena.alloc();
     arena.rtclosure_into(hb_star, hb);
+    let (prop_ww, strong) = prop_power_arm_rf(fx, fences, ffence, hb_star, arena);
+    prop_power_arm_co(fx, prop_ww, strong, arena)
+}
+
+/// The part of Fig 18's prop that reads no coherence: from `hb*` and the
+/// fences, returns the slots `(prop-base ∩ WW, prop-base*; ffence; hb*)`
+/// with `prop-base = (fences ∪ rfe; fences); hb*`. Computed once per rf
+/// configuration by the staged [`crate::model::ArenaChecker`].
+pub fn prop_power_arm_rf<'a, 'b>(
+    fx: &ExecFrame<'_>,
+    fences: impl Into<RelSrc<'a>>,
+    ffence: impl Into<RelSrc<'b>>,
+    hb_star: RelId,
+    arena: &mut RelArena,
+) -> (RelId, RelId) {
+    let fences = fences.into();
     // prop-base = (fences ∪ A-cumul); hb*, with A-cumul = rfe; fences.
     let lhs = arena.alloc();
     arena.seq_into(lhs, fx.rels.rfe, fences);
     arena.union_into(lhs, fences);
     let prop_base = arena.alloc();
     arena.seq_into(prop_base, lhs, hb_star);
-    let prop = arena.alloc();
-    core.dir_restrict_arena(arena, prop, prop_base, Some(Dir::W), Some(Dir::W));
-    // strong part: com*; prop-base*; ffence; hb*.
-    let com_star = arena.alloc();
-    arena.rtclosure_into(com_star, fx.rels.com);
+    let prop_ww = arena.alloc();
+    fx.core.dir_restrict_arena(arena, prop_ww, prop_base, Some(Dir::W), Some(Dir::W));
+    // The strong part's rf-only suffix: prop-base*; ffence; hb*.
     let pb_star = arena.alloc();
     arena.rtclosure_into(pb_star, prop_base);
-    let t = arena.alloc();
-    arena.seq_into(t, com_star, pb_star);
-    let t2 = arena.alloc();
-    arena.seq_into(t2, t, ffence);
-    arena.seq_into(t, t2, hb_star);
-    arena.union_into(prop, t);
+    arena.seq_into(lhs, pb_star, ffence);
+    let strong = arena.alloc();
+    arena.seq_into(strong, lhs, hb_star);
+    (prop_ww, strong)
+}
+
+/// The coherence half of Fig 18's prop:
+/// `prop = (prop-base ∩ WW) ∪ (com*; prop-base*; ffence; hb*)`, from the
+/// two slots [`prop_power_arm_rf`] returned.
+pub fn prop_power_arm_co(
+    fx: &ExecFrame<'_>,
+    prop_ww: RelId,
+    strong: RelId,
+    arena: &mut RelArena,
+) -> RelId {
+    let com_star = arena.alloc();
+    arena.rtclosure_into(com_star, fx.rels.com);
+    let prop = arena.alloc();
+    arena.seq_into(prop, com_star, strong);
+    arena.union_into(prop, prop_ww);
     prop
 }
 

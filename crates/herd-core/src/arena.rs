@@ -440,8 +440,24 @@ impl RelArena {
                 RelSrc::Ext(r) => self.check_ext(r),
             }
         }
-        self.clear(dst);
         let (n, wpr) = (self.n, self.wpr);
+        if wpr == 1 {
+            // Single-word rows (≤64 events, every litmus-scale universe):
+            // each destination row is the OR of b's rows picked by a's
+            // bits, accumulated in a register.
+            let mut out = [0u64; 64];
+            let (av, bv) = (self.view_of(a), self.view_of(b));
+            for (i, o) in out.iter_mut().enumerate().take(n) {
+                let mut word = av.bits[i];
+                while word != 0 {
+                    *o |= bv.bits[word.trailing_zeros() as usize];
+                    word &= word - 1;
+                }
+            }
+            self.slot_mut(dst).copy_from_slice(&out[..n]);
+            return;
+        }
+        self.clear(dst);
         let d0 = self.off(dst);
         let a_off = match a {
             RelSrc::Slot(id) => Some(self.off(id)),
@@ -549,6 +565,19 @@ impl RelArena {
     pub fn tclosure_into<'a>(&mut self, dst: RelId, src: impl Into<RelSrc<'a>>) {
         self.copy_into(dst, src);
         let (n, wpr) = (self.n, self.wpr);
+        if wpr == 1 {
+            // Single-word rows: Warshall with each pivot row in a register.
+            let d = self.slot_mut(dst);
+            for k in 0..n {
+                let (kb, rk) = (1u64 << k, d[k]);
+                for row in d.iter_mut() {
+                    if *row & kb != 0 {
+                        *row |= rk;
+                    }
+                }
+            }
+            return;
+        }
         let d0 = self.off(dst);
         let mut idx = std::mem::take(&mut self.idx);
         for k in 0..n {
@@ -637,6 +666,29 @@ impl RelArena {
         (0..self.n).all(|i| !v.contains(i, i))
     }
 
+    /// Is the composition `a; b` irreflexive? Decided without
+    /// materialising it: no `(i, j) ∈ a` may have `(j, i) ∈ b`.
+    pub fn seq_is_irreflexive<'a, 'b>(
+        &self,
+        a: impl Into<RelSrc<'a>>,
+        b: impl Into<RelSrc<'b>>,
+    ) -> bool {
+        let (a, b) = (self.view_of(a), self.view_of(b));
+        (0..self.n).all(|i| {
+            a.row(i).iter().enumerate().all(|(w, &word0)| {
+                let mut word = word0;
+                while word != 0 {
+                    let j = w * 64 + word.trailing_zeros() as usize;
+                    if b.contains(j, i) {
+                        return false;
+                    }
+                    word &= word - 1;
+                }
+                true
+            })
+        })
+    }
+
     /// Is the source relation acyclic?
     ///
     /// Universes of at most 64 events (every litmus-scale candidate) run
@@ -722,6 +774,10 @@ mod tests {
         let rc = a.alloc();
         a.rtclosure_into(rc, &x);
         assert_eq!(a.to_relation(rc), x.rtclosure());
+
+        for (l, r) in [(&x, &y), (&y, &x), (&x, &x.transpose())] {
+            assert_eq!(a.seq_is_irreflexive(l, r), l.seq(r).is_irreflexive());
+        }
     }
 
     #[test]

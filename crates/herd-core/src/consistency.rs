@@ -50,7 +50,7 @@ use crate::arena::{RelArena, RelId};
 use crate::enumerate::{build_co_arena, HeapPerm};
 use crate::event::{Dir, Event, Loc};
 use crate::exec::{ExecCore, ExecFrame, ExecRels};
-use crate::model::{Architecture, ArenaChecker, Tractability};
+use crate::model::{Architecture, ArenaChecker, RfScope, Tractability};
 use crate::ppo::PpoEnvelope;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -182,13 +182,13 @@ pub fn co_exists_with_envelope<A: Architecture + ?Sized>(
         arena.add(rels.rf, w, r);
     }
     rels.derive_rf(core, arena);
-    let checker = ArenaChecker::new(arch, core);
     let locs = loc_writes(q.events);
 
     let mode = arch.tractability();
-    // A `Conditional` model must vouch for an envelope; a missing one
-    // (contract violation) degrades to the frontier fallback — slower,
-    // never unsound.
+    // A `Conditional` model must vouch for an envelope and be a Fig 18
+    // instance (ppo frozen through the staged checker's rf scope); a
+    // missing one (contract violation) degrades to the frontier fallback
+    // — slower, never unsound.
     let owned_env = match (mode, &envelope) {
         (Tractability::Conditional, None) => arch.ppo_envelope(core),
         _ => None,
@@ -197,6 +197,11 @@ pub fn co_exists_with_envelope<A: Architecture + ?Sized>(
         Tractability::Conditional => envelope.or(owned_env.as_ref()),
         _ => None,
     };
+    let checker = match env {
+        Some(env) => ArenaChecker::staged(arch, core, env, false),
+        None => ArenaChecker::new(arch, core),
+    };
+    let env = env.filter(|_| checker.is_staged());
     let saturating = mode == Tractability::Polynomial || env.is_some();
 
     // The partial coherence order every valid witness must extend,
@@ -333,6 +338,10 @@ enum SatResult {
 /// (frozen to `frozen` when given, exact otherwise), forcing the
 /// survivor of a one-sided violation, until nothing grows. Mutates
 /// `forced` in place (kept transitively closed).
+///
+/// The query's rf is fixed, so the checker's rf scope — with ppo frozen
+/// to the bound, everything but the coherence stage — is evaluated once
+/// for the whole pass.
 #[allow(clippy::too_many_arguments)] // the solver's single inner loop
 fn saturate<A: Architecture + ?Sized>(
     arch: &A,
@@ -344,9 +353,32 @@ fn saturate<A: Architecture + ?Sized>(
     locs: &[LocWrites],
     frozen: Option<RelId>,
 ) -> SatResult {
+    let m = arena.mark();
+    let fx = ExecFrame { core: q.core, events: q.events, rels };
+    let scope = match frozen {
+        Some(bound) => checker.rf_scope_frozen(&fx, bound, arena),
+        None => checker.rf_scope(&fx, arena),
+    };
+    let result = saturate_in(arch, checker, q, rels, arena, forced, locs, scope);
+    arena.release(m);
+    result
+}
+
+/// [`saturate`] under one rf scope.
+#[allow(clippy::too_many_arguments)] // the solver's single inner loop
+fn saturate_in<A: Architecture + ?Sized>(
+    arch: &A,
+    checker: &ArenaChecker,
+    q: &CoQuery<'_>,
+    rels: &ExecRels,
+    arena: &mut RelArena,
+    forced: RelId,
+    locs: &[LocWrites],
+    scope: RfScope,
+) -> SatResult {
     // Base check: the seed itself (plus the rf-only axioms, NO THIN
     // AIR included) may already be definitively violated.
-    if violates(arch, checker, q, rels, arena, forced, frozen) {
+    if violates(arch, checker, q, rels, arena, forced, scope) {
         return SatResult::Contradiction;
     }
     loop {
@@ -359,9 +391,9 @@ fn saturate<A: Architecture + ?Sized>(
                         continue;
                     }
                     let ab_bad =
-                        hypothesis_violates(arch, checker, q, rels, arena, forced, a, b, frozen);
+                        hypothesis_violates(arch, checker, q, rels, arena, forced, a, b, scope);
                     let ba_bad =
-                        hypothesis_violates(arch, checker, q, rels, arena, forced, b, a, frozen);
+                        hypothesis_violates(arch, checker, q, rels, arena, forced, b, a, scope);
                     match (ab_bad, ba_bad) {
                         (true, true) => {
                             // Every total order contains one of the two
@@ -385,7 +417,7 @@ fn saturate<A: Architecture + ?Sized>(
             return SatResult::Fixpoint;
         }
         // New forced edges can combine into a definitive violation.
-        if violates(arch, checker, q, rels, arena, forced, frozen) {
+        if violates(arch, checker, q, rels, arena, forced, scope) {
             return SatResult::Contradiction;
         }
     }
@@ -425,10 +457,9 @@ fn force(arena: &mut RelArena, rel: RelId, a: usize, b: usize) {
 }
 
 /// Do the four axioms reject this (possibly partial) coherence order?
-/// With `frozen` the architecture's ppo is pinned to that bound
-/// ([`ArenaChecker::check_frozen`]); either way, for relations monotone
-/// in `co` a `true` here is definitive for every extension of `co_slot`
-/// under the same (frozen or exact) ppo.
+/// `scope` is the checker's rf scope, ppo frozen to a bound or exact;
+/// either way, for relations monotone in `co` a `true` here is
+/// definitive for every extension of `co_slot` under the same ppo.
 #[allow(clippy::too_many_arguments)] // the solver's single probe shape
 fn violates<A: Architecture + ?Sized>(
     arch: &A,
@@ -437,16 +468,12 @@ fn violates<A: Architecture + ?Sized>(
     rels: &ExecRels,
     arena: &mut RelArena,
     co_slot: RelId,
-    frozen: Option<RelId>,
+    scope: RfScope,
 ) -> bool {
     arena.copy_into(rels.co, co_slot);
     rels.derive_co(q.core.as_ref(), arena);
     let fx = ExecFrame { core: q.core, events: q.events, rels };
-    let v = match frozen {
-        None => checker.check(arch, &fx, arena),
-        Some(bound) => checker.check_frozen(arch, &fx, arena, bound),
-    };
-    !v.allowed()
+    !checker.check_co(arch, &fx, scope, arena).allowed()
 }
 
 /// Tests the hypothesis `forced ∪ {(a, b)}` against the axioms.
@@ -460,14 +487,14 @@ fn hypothesis_violates<A: Architecture + ?Sized>(
     forced: RelId,
     a: usize,
     b: usize,
-    frozen: Option<RelId>,
+    scope: RfScope,
 ) -> bool {
     let m = arena.mark();
     let t = arena.alloc_from(forced);
     arena.add(t, a, b);
     let hyp = arena.alloc();
     arena.tclosure_into(hyp, t);
-    let bad = violates(arch, checker, q, rels, arena, hyp, frozen);
+    let bad = violates(arch, checker, q, rels, arena, hyp, scope);
     arena.release(m);
     bad
 }

@@ -40,7 +40,8 @@ use crate::arena::RelArena;
 use crate::event::{Dir, Event, Fence, Loc, ThreadId, Val};
 use crate::exec::{Deps, ExecCore, ExecFrame, ExecRels, Execution};
 use crate::faultpoint::{self, FaultPoint};
-use crate::model::{Architecture, ArenaChecker, Verdict};
+use crate::model::{thin_air_base_with, Architecture, ArenaChecker, Verdict};
+use crate::ppo::PpoEnvelope;
 use crate::relation::Relation;
 use crate::sched::{Budget, StopReason};
 use crate::thinair::ThinAirTracker;
@@ -560,6 +561,9 @@ pub(crate) struct EngineCtx {
     pub(crate) core: Arc<ExecCore>,
     pub(crate) graphs: LocGraphs,
     pub(crate) thin_air: Option<Relation>,
+    /// The architecture's ppo envelope on `core` and whether it is tight:
+    /// computed once, shared by every worker's staged checker.
+    envelope: Option<(PpoEnvelope, bool)>,
 }
 
 impl EngineCtx {
@@ -571,8 +575,21 @@ impl EngineCtx {
             .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
             .collect();
         let graphs = LocGraphs::new(&shape, &sk.po, arch.tolerates_load_load_hazards());
-        let thin_air = arch.thin_air_base(&core);
-        EngineCtx { parts, core, graphs, thin_air }
+        let env = arch.ppo_envelope(&core);
+        let thin_air = thin_air_base_with(arch, &core, env.as_ref());
+        let envelope = env.map(|e| {
+            let tight = e.tight(&core);
+            (e, tight)
+        });
+        EngineCtx { parts, core, graphs, thin_air, envelope }
+    }
+
+    /// One worker's staged checker for this enumeration.
+    fn checker<A: Architecture + ?Sized>(&self, arch: &A) -> ArenaChecker {
+        match &self.envelope {
+            Some((env, tight)) => ArenaChecker::staged(arch, &self.core, env, *tight),
+            None => ArenaChecker::new(arch, &self.core),
+        }
     }
 }
 
@@ -599,7 +616,7 @@ impl EngineState {
         arena.reset(n);
         EngineState {
             rels: ExecRels::alloc(arena),
-            checker: ArenaChecker::new(arch, &ctx.core),
+            checker: ctx.checker(arch),
             menus: CoMenus::new(&ctx.parts.loc_writes),
             co_pick: vec![0usize; ctx.parts.locs.len()],
             events: ctx.parts.base_events.clone(),
@@ -703,8 +720,13 @@ pub(crate) fn run_arena_range<A: Architecture + ?Sized>(
         driver.add_pruned(driver.co_total - kept);
         faultpoint::hit(FaultPoint::ArenaCheckpoint, faultpoint::config_key(driver.pos));
         st.rels.derive_rf(&ctx.core, arena);
+        // The checker's rf scope lives above this mark until the last
+        // coherence choice of the configuration has been checked.
+        let rf_mark = arena.mark();
 
         if co_s < co_e {
+            let fx = ExecFrame { core: &ctx.core, events: &st.events, rels: &st.rels };
+            let scope = st.checker.rf_scope(&fx, arena);
             // Seek the menu odometer to `co_s` (mixed radix, digit 0
             // least significant — the same layout `CoMenus::bump` walks).
             let mut rem = co_s;
@@ -725,7 +747,7 @@ pub(crate) fn run_arena_range<A: Architecture + ?Sized>(
                     FaultPoint::CandidateCheck,
                     faultpoint::candidate_key(driver.pos, visited),
                 );
-                let verdict = st.checker.check(arch, &fx, arena);
+                let verdict = st.checker.check_co(arch, &fx, scope, arena);
                 stats.emitted += 1;
                 if verdict.allowed() {
                     stats.allowed += 1;
@@ -749,10 +771,12 @@ pub(crate) fn run_arena_range<A: Architecture + ?Sized>(
                         (driver.end - driver.pos - 1).saturating_mul(driver.co_total),
                     );
                     stats.resume = Some(ResumePoint { rf_pos: driver.pos, co_next: visited });
+                    arena.release(rf_mark);
                     break 'scopes;
                 }
             }
         }
+        arena.release(rf_mark);
         driver.advance_one();
     }
     if accounts_prunes {

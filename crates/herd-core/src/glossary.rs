@@ -75,14 +75,24 @@
 //!
 //! | scope | lifetime | holds | where |
 //! |---|---|---|---|
-//! | enumeration | whole stream | the 13 witness/derived slots, menus, thin-air levels | [`crate::exec::ExecRels::alloc`], [`crate::uniproc::CoMenus`], [`crate::thinair::ThinAirTracker`] |
-//! | rf digit | one rf configuration | `rf`, `rf⁻¹`, `rfe`, `rfi` refreshed once, shared by every coherence choice below | [`crate::exec::ExecRels::derive_rf`] |
+//! | enumeration | whole stream (one control-flow combination) | the 13 witness/derived slots, menus, thin-air levels; the checker's static SC PER LOCATION `po-loc`, Fig 18 `fences`/`ffence`, and — when the ppo envelope is tight — the exact ppo | [`crate::exec::ExecRels::alloc`], [`crate::uniproc::CoMenus`], [`crate::thinair::ThinAirTracker`], [`crate::model::ArenaChecker::for_combination`] |
+//! | rf digit | one rf configuration | `rf`, `rf⁻¹`, `rfe`, `rfi` refreshed once, shared by every coherence choice below; with a known ppo also `hb`, `hb+`/`hb*`, the NO THIN AIR verdict, `prop-base ∩ WW` and `prop-base*; ffence; hb*` | [`crate::exec::ExecRels::derive_rf`], [`crate::model::ArenaChecker::rf_scope`] |
 //! | co digit | one coherence choice | `co`, `fr` (`rf⁻¹; co` reuses the scope above), `com`, `rdw`, `detour` | [`crate::exec::ExecRels::derive_co`] |
-//! | candidate check | one verdict | `ppo`/`fences`/`prop`, `hb`, closures, axiom compositions — released by one [`crate::arena::Mark`] | [`crate::model::ArenaChecker::check`] |
+//! | candidate check | one verdict | what reads `co`: `com*`, prop's strong part, SC PER LOCATION, OBSERVATION, PROPAGATION — plus, where ppo is not known per combination, ppo and the rf-scope relations — released by one [`crate::arena::Mark`] | [`crate::model::ArenaChecker::check_co`] |
+//!
+//! The ppo envelope ([`crate::ppo::PpoEnvelope`]) is *tight* when its
+//! lower and upper fixpoints coincide — always when the program has no
+//! same-thread same-location `W×R` pair and, under the config, no
+//! `po-loc ∩ RR` (`rdw`) or `po-loc ∩ WR` (`detour`) pair. Then `rdw`,
+//! `rfi` and `detour` cannot change ppo, so the Power/ARM ppo is computed
+//! once per combination instead of once per candidate. Models without an
+//! envelope (SC, TSO, PSO/RMO, C++ R-A) evaluate their relations per
+//! candidate through the same checker.
 //!
 //! The steady state allocates nothing per candidate (the `herd-bench`
-//! `alloc-count` smoke test asserts the zero), which is what lets
-//! sharding and corpus batching scale without allocator contention.
+//! `alloc-count` smoke test asserts the zero, on a tight and a non-tight
+//! skeleton), which is what lets sharding and corpus batching scale
+//! without allocator contention.
 //!
 //! # Mask widths — the bit-row layer under the incremental walk (Sec 8.3)
 //!

@@ -14,10 +14,11 @@
 //! -hazards weakens `po-loc` in axiom 1 (Tab VII), and exact C++ R-A
 //! weakens axiom 4 to `irreflexive(prop; co)` (Sec 4.8).
 
-use crate::arena::{RelArena, RelId};
+use crate::arch::{prop_power_arm_co, prop_power_arm_rf};
+use crate::arena::{RelArena, RelId, RelSrc};
 use crate::event::Dir;
 use crate::exec::{ExecCore, ExecFrame, Execution};
-use crate::ppo::PpoEnvelope;
+use crate::ppo::{self, PpoConfig, PpoEnvelope};
 use crate::relation::Relation;
 use std::fmt;
 
@@ -61,11 +62,11 @@ pub enum Tractability {
     Polynomial,
     /// Conditionally polynomial: the axioms are monotone in co *given* a
     /// frozen ppo, and the architecture vouches for a sound envelope
-    /// `lower ⊆ ppo(x) ⊆ upper` via [`Architecture::ppo_envelope`] plus a
-    /// frozen-ppo relation hook
-    /// ([`Architecture::arch_rels_arena_frozen`]). Saturation runs once
-    /// per bound: a lower-bound contradiction is definitively forbidden
-    /// (fewer ppo edges can only *miss* violations), an upper-bound
+    /// `lower ⊆ ppo(x) ⊆ upper` via [`Architecture::ppo_envelope`], and
+    /// its prop factors through a known ppo ([`Architecture::fig18_fences`],
+    /// frozen through the staged [`ArenaChecker`]'s rf scope). Saturation
+    /// runs once per bound: a lower-bound contradiction is definitively
+    /// forbidden (fewer ppo edges can only *miss* violations), an upper-bound
     /// witness that re-checks clean under the exact per-candidate ppo is
     /// definitively allowed, and only a genuine disagreement falls back —
     /// counted in [`crate::consistency::ConsistencyStats`], never silent.
@@ -161,26 +162,21 @@ pub trait Architecture {
         None
     }
 
-    /// [`Architecture::arch_rels_arena`] with the ppo *frozen* to a
-    /// caller-supplied bound instead of the candidate's exact Fig 25
-    /// fixpoint — the relation evaluator behind
-    /// [`Tractability::Conditional`] saturation.
+    /// The fences of a Fig 18 instance, which lets the staged
+    /// [`ArenaChecker`] evaluate each relation once per scope of its
+    /// inputs instead of once per candidate.
     ///
-    /// The default substitutes the frozen slot and recomputes nothing
-    /// else, which is exact for architectures whose `fences`/`prop` do
-    /// not consume ppo. Power/ARM's `prop` sequences through `hb` (which
-    /// contains ppo), so their overrides rebuild `prop` from the frozen
-    /// slot — a `Conditional` architecture must guarantee every returned
-    /// relation is computed from `ppo_bound`, not from the candidate's
-    /// dynamic ingredients.
-    fn arch_rels_arena_frozen(
-        &self,
-        fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
-        arena: &mut RelArena,
-    ) -> ArenaArchRels {
-        let rels = self.arch_rels_arena(fx, arena);
-        ArenaArchRels { ppo: ppo_bound, ..rels }
+    /// `Some` is a promise about every candidate `x` built on `core`:
+    /// `fences(x)` equals the returned `fences`, and `prop(x)` is
+    /// [`crate::arch::prop_power_arm`] over `ppo(x)`, those fences and the
+    /// returned `ffence`. Paired with a [`Architecture::ppo_envelope`]
+    /// (whose exact member is the Fig 25 fixpoint under
+    /// [`PpoEnvelope::config`]), it is also what conditional saturation
+    /// freezes ppo through. The default `None` keeps per-candidate
+    /// evaluation through [`Architecture::arch_rels_arena`].
+    fn fig18_fences(&self, core: &ExecCore) -> Option<Fig18Fences> {
+        let _ = core;
+        None
     }
 
     /// The skeleton-invariant part of this architecture's `fences`
@@ -197,11 +193,13 @@ pub trait Architecture {
     /// stays under every candidate's `hb`, and the cumulativity pairs are
     /// reachable in the tracked closure.
     ///
-    /// The default is empty (sound for every architecture); stock
-    /// instances with fences override it and their
-    /// [`Architecture::thin_air_base`] unions it into the static base.
+    /// The default is the whole fence relation of a Fig 18 instance
+    /// ([`Architecture::fig18_fences`]), and empty otherwise (sound for
+    /// every architecture); the other stock instances with fences
+    /// override it, and [`Architecture::thin_air_base`] unions it into
+    /// the static base.
     fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        Relation::empty(core.universe())
+        self.fig18_fences(core).map_or_else(|| Relation::empty(core.universe()), |f| f.fences)
     }
 
     /// A skeleton-invariant underapproximation of `ppo ∪ fences`, enabling
@@ -217,14 +215,15 @@ pub trait Architecture {
     /// — which disables this pruning axis entirely; pruning never happens
     /// unless an architecture explicitly vouches for it.
     ///
-    /// Stock instances override it: SC/C++RA return `po`, TSO/PSO/RMO
-    /// their static `ppo`, Power/ARM the [`crate::ppo::compute_static`]
-    /// fixpoint — each unioned with the static fence suffix
+    /// The default derives the base from the ppo envelope when there is
+    /// one: `lower ∪ thin_air_fences`, which is how Power and ARM get
+    /// theirs. Models without an envelope return `None` unless they
+    /// override it, as SC/C++RA (`po`) and TSO/PSO/RMO (their static
+    /// `ppo`) do — each unioned with the static fence suffix
     /// ([`Architecture::thin_air_fences`]), which also covers the
     /// cumulativity edges compositionally.
     fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        let _ = core;
-        None
+        self.ppo_envelope(core).map(|e| e.lower.union(&self.thin_air_fences(core)))
     }
 
     /// Evaluates the three architecture functions for one arena-backed
@@ -284,13 +283,8 @@ impl<A: Architecture + ?Sized> Architecture for &A {
     fn ppo_envelope(&self, core: &ExecCore) -> Option<PpoEnvelope> {
         (**self).ppo_envelope(core)
     }
-    fn arch_rels_arena_frozen(
-        &self,
-        fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
-        arena: &mut RelArena,
-    ) -> ArenaArchRels {
-        (**self).arch_rels_arena_frozen(fx, ppo_bound, arena)
+    fn fig18_fences(&self, core: &ExecCore) -> Option<Fig18Fences> {
+        (**self).fig18_fences(core)
     }
     fn thin_air_fences(&self, core: &ExecCore) -> Relation {
         (**self).thin_air_fences(core)
@@ -314,6 +308,16 @@ pub struct ArenaArchRels {
     pub fences: RelId,
     /// Propagation order.
     pub prop: RelId,
+}
+
+/// The skeleton-invariant fences of a Fig 18 instance
+/// ([`Architecture::fig18_fences`]).
+#[derive(Clone, Debug)]
+pub struct Fig18Fences {
+    /// The whole fence relation (`lwfence ∪ ffence` on Power).
+    pub fences: Relation,
+    /// The full fences the strong part of prop sequences through.
+    pub ffence: Relation,
 }
 
 /// The three architecture relations, computed once per candidate.
@@ -438,32 +442,183 @@ pub fn sc_per_location(x: &Execution) -> bool {
 }
 
 /// The arena-backed axiom checker: [`check_with`] without a single heap
-/// allocation per candidate.
+/// allocation per candidate, with each relation evaluated once per scope
+/// of the inputs it reads (the compositional reading of cat of Alglave and
+/// Cousot, PAPERS.md).
 ///
-/// Construct once per enumeration ([`ArenaChecker::new`] precomputes the
-/// skeleton-invariant `po-loc` the SC PER LOCATION axiom uses, load-load
-/// -hazard-weakened when the architecture asks for it), then call
-/// [`ArenaChecker::check`] per candidate frame. All per-candidate
-/// temporaries — the architecture relations, `hb` and its closures, the
-/// axiom compositions — live above one arena mark that is released before
-/// returning, so the arena's footprint stays at its high-water mark.
+/// Three scopes, outermost first:
 ///
-/// Equivalence with the owned path ([`check`] / [`check_with`]) is pinned
-/// down by the corpus-wide equivalence suites; architectures customising
-/// SC PER LOCATION do so through
-/// [`Architecture::sc_per_location_po_loc_static`], which both paths
-/// consume.
+/// * **Control-flow combination** — the checker itself. [`ArenaChecker::new`]
+///   precomputes only the skeleton-invariant `po-loc` of SC PER LOCATION
+///   (load-load-hazard-weakened when the architecture asks for it).
+///   [`ArenaChecker::staged`] additionally takes the static fences of a
+///   Fig 18 instance ([`Architecture::fig18_fences`]) and, when the ppo
+///   envelope is tight, the exact ppo: `envelope.lower`.
+/// * **rf configuration** — [`ArenaChecker::rf_scope`], after
+///   [`ExecRels::derive_rf`](crate::exec::ExecRels::derive_rf). With a
+///   known ppo it evaluates `hb = ppo ∪ fences ∪ rfe`, `hb+`/`hb*`, the NO
+///   THIN AIR verdict, and the rf-only parts of prop
+///   ([`crate::arch::prop_power_arm_rf`]); [`ArenaChecker::rf_scope_frozen`]
+///   does the same from a caller's ppo bound.
+/// * **Coherence choice** — [`ArenaChecker::check_co`]: only what reads
+///   `co`: SC PER LOCATION, `com*`, the strong part of prop, OBSERVATION
+///   and PROPAGATION.
+///
+/// When the rf scope holds no ppo (a non-tight envelope) or the model is
+/// not a Fig 18 instance, `check_co` does the whole per-candidate work:
+/// for Fig 18 instances ppo through [`crate::ppo::compute_arena`] and then
+/// the same two stages, for every other model
+/// [`Architecture::arch_rels_arena`]. [`ArenaChecker::check`] runs both
+/// scopes for one candidate.
+///
+/// All temporaries live above arena marks the caller (for the rf scope)
+/// or the checker (for `check_co`) releases, so the arena's footprint
+/// stays at its high-water mark. Equivalence with the owned path
+/// ([`check`] / [`check_with`]) is pinned down by the corpus-wide
+/// equivalence suites.
 pub struct ArenaChecker {
     sc_po_loc: Relation,
+    /// The Fig 18 combination scope; `None` checks per candidate through
+    /// [`Architecture::arch_rels_arena`].
+    fig18: Option<Fig18Stage>,
+}
+
+/// The per-combination inputs of a staged Fig 18 check.
+struct Fig18Stage {
+    fences: Relation,
+    ffence: Relation,
+    /// The exact ppo of every candidate, when the envelope is tight.
+    ppo: Option<Relation>,
+    /// The Fig 25 configuration each candidate's ppo is computed under
+    /// otherwise.
+    ppo_cfg: PpoConfig,
+}
+
+/// What an [`ArenaChecker`] evaluated for one rf configuration: arena
+/// slots shared by every coherence choice under it, valid until the
+/// caller releases the mark it took before [`ArenaChecker::rf_scope`].
+#[derive(Clone, Copy, Debug)]
+pub struct RfScope(Option<RfRels>);
+
+#[derive(Clone, Copy, Debug)]
+struct RfRels {
+    no_thin_air: bool,
+    /// `prop-base ∩ WW`.
+    prop_ww: RelId,
+    /// `(prop-base ∩ WW); hb*`, for OBSERVATION.
+    prop_ww_hb: RelId,
+    /// `prop-base*; ffence; hb*`, the rf-only suffix of prop's strong part.
+    strong: RelId,
 }
 
 impl ArenaChecker {
-    /// Precomputes the static per-architecture inputs for `core`.
+    /// The per-candidate checker: precomputes the static SC PER LOCATION
+    /// `po-loc` for `core` and nothing else.
     pub fn new<A: Architecture + ?Sized>(arch: &A, core: &ExecCore) -> Self {
-        ArenaChecker { sc_po_loc: arch.sc_per_location_po_loc_static(core) }
+        ArenaChecker { sc_po_loc: arch.sc_per_location_po_loc_static(core), fig18: None }
     }
 
-    /// Checks the four axioms of Fig 5 on one arena-backed candidate.
+    /// The staged checker for an architecture whose envelope `env` on
+    /// `core` the caller already holds. `tight` says the envelope is
+    /// tight ([`PpoEnvelope::tight`]), making `env.lower` the exact ppo
+    /// of the whole combination. Models that are not Fig 18 instances get
+    /// [`ArenaChecker::new`]'s per-candidate checker.
+    pub fn staged<A: Architecture + ?Sized>(
+        arch: &A,
+        core: &ExecCore,
+        env: &PpoEnvelope,
+        tight: bool,
+    ) -> Self {
+        let fig18 = arch.fig18_fences(core).map(|f| Fig18Stage {
+            fences: f.fences,
+            ffence: f.ffence,
+            ppo: tight.then(|| env.lower.clone()),
+            ppo_cfg: *env.config(),
+        });
+        ArenaChecker { sc_po_loc: arch.sc_per_location_po_loc_static(core), fig18 }
+    }
+
+    /// The control-flow-combination scope where candidates are streamed:
+    /// computes the architecture's envelope on `core` once, decides its
+    /// tightness, and returns the checker with the envelope (for
+    /// [`thin_air_base_with`]).
+    pub fn for_combination<A: Architecture + ?Sized>(
+        arch: &A,
+        core: &ExecCore,
+    ) -> (Self, Option<PpoEnvelope>) {
+        let env = arch.ppo_envelope(core);
+        let checker = match &env {
+            Some(e) => ArenaChecker::staged(arch, core, e, e.tight(core)),
+            None => ArenaChecker::new(arch, core),
+        };
+        (checker, env)
+    }
+
+    /// Does this checker stage a Fig 18 instance (so
+    /// [`ArenaChecker::rf_scope_frozen`] applies)?
+    pub fn is_staged(&self) -> bool {
+        self.fig18.is_some()
+    }
+
+    /// The rf-configuration scope: call once `fx.rels`' rf-derived slots
+    /// are filled, under a mark held until the last coherence choice of
+    /// the configuration has been checked.
+    pub fn rf_scope(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> RfScope {
+        match &self.fig18 {
+            Some(st @ Fig18Stage { ppo: Some(ppo), .. }) => {
+                RfScope(Some(st.rf_rels(fx, ppo, arena)))
+            }
+            _ => RfScope(None),
+        }
+    }
+
+    /// [`ArenaChecker::rf_scope`] with ppo frozen to the slot `ppo`
+    /// instead of the candidate's exact Fig 25 fixpoint — the relation
+    /// evaluator behind conditional saturation. Every relation of the
+    /// scope is computed from `ppo`, none from the candidate's dynamic
+    /// `rdw`/`rfi`/`detour`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the checker is staged ([`ArenaChecker::is_staged`]).
+    pub fn rf_scope_frozen(&self, fx: &ExecFrame<'_>, ppo: RelId, arena: &mut RelArena) -> RfScope {
+        let st = self.fig18.as_ref().expect("a frozen ppo needs a staged Fig 18 checker");
+        RfScope(Some(st.rf_rels(fx, ppo, arena)))
+    }
+
+    /// The coherence scope: checks the four axioms of Fig 5 on one
+    /// candidate whose rf configuration `scope` was computed for.
+    pub fn check_co<A: Architecture + ?Sized>(
+        &self,
+        arch: &A,
+        fx: &ExecFrame<'_>,
+        scope: RfScope,
+        arena: &mut RelArena,
+    ) -> Verdict {
+        let m = arena.mark();
+        let verdict = match (scope.0, &self.fig18) {
+            (Some(rf), _) => self.co_stage(arch, fx, rf, arena),
+            (None, Some(st)) => {
+                let ppo = ppo::compute_arena(fx, &st.ppo_cfg, arena);
+                let rf = st.rf_rels(fx, ppo, arena);
+                self.co_stage(arch, fx, rf, arena)
+            }
+            (None, None) => {
+                let ar = arch.arch_rels_arena(fx, arena);
+                let (no_thin_air, hb_star) = hb_closures(fx, ar.ppo, ar.fences, arena);
+                // OBSERVATION: irreflexive(fre; prop; hb*).
+                let t = arena.alloc();
+                arena.seq_into(t, fx.rels.fre, ar.prop);
+                let observation = arena.seq_is_irreflexive(t, hb_star);
+                self.axioms(arch, fx, no_thin_air, observation, ar.prop, arena)
+            }
+        };
+        arena.release(m);
+        verdict
+    }
+
+    /// Checks the four axioms of Fig 5 on one arena-backed candidate:
+    /// [`ArenaChecker::rf_scope`] and [`ArenaChecker::check_co`] in one go.
     pub fn check<A: Architecture + ?Sized>(
         &self,
         arch: &A,
@@ -471,98 +626,105 @@ impl ArenaChecker {
         arena: &mut RelArena,
     ) -> Verdict {
         let m = arena.mark();
+        let scope = self.rf_scope(fx, arena);
+        let verdict = self.check_co(arch, fx, scope, arena);
+        arena.release(m);
+        verdict
+    }
 
+    /// The coherence half of a staged Fig 18 check.
+    fn co_stage<A: Architecture + ?Sized>(
+        &self,
+        arch: &A,
+        fx: &ExecFrame<'_>,
+        rf: RfRels,
+        arena: &mut RelArena,
+    ) -> Verdict {
+        let prop = prop_power_arm_co(fx, rf.prop_ww, rf.strong, arena);
+        // OBSERVATION: irreflexive(fre; prop; hb*). The strong part of
+        // prop already ends in hb*, so prop; hb* = prop ∪ (prop-base ∩
+        // WW); hb*, and the composition splits over the union.
+        let observation = arena.seq_is_irreflexive(fx.rels.fre, prop)
+            && arena.seq_is_irreflexive(fx.rels.fre, rf.prop_ww_hb);
+        self.axioms(arch, fx, rf.no_thin_air, observation, prop, arena)
+    }
+
+    /// SC PER LOCATION and PROPAGATION from `prop`, with NO THIN AIR and
+    /// OBSERVATION already decided.
+    fn axioms<A: Architecture + ?Sized>(
+        &self,
+        arch: &A,
+        fx: &ExecFrame<'_>,
+        no_thin_air: bool,
+        observation: bool,
+        prop: RelId,
+        arena: &mut RelArena,
+    ) -> Verdict {
         // SC PER LOCATION: acyclic(po-loc ∪ com).
         let t = arena.alloc_from(&self.sc_po_loc);
         arena.union_into(t, fx.rels.com);
         let sc_per_location = arena.is_acyclic(t);
 
-        let ar = arch.arch_rels_arena(fx, arena);
-
-        // hb = ppo ∪ fences ∪ rfe; NO THIN AIR is acyclic(hb).
-        let hb = arena.alloc_from(ar.ppo);
-        arena.union_into(hb, ar.fences);
-        arena.union_into(hb, fx.rels.rfe);
-        let hb_plus = arena.alloc();
-        arena.tclosure_into(hb_plus, hb);
-        let no_thin_air = arena.is_irreflexive(hb_plus);
-
-        // OBSERVATION: irreflexive(fre; prop; hb*). hb* reuses hb+ (the
-        // irreflexivity of hb+ was already read off above).
-        arena.union_id(hb_plus);
-        let t1 = arena.alloc();
-        arena.seq_into(t1, fx.rels.fre, ar.prop);
-        let t2 = arena.alloc();
-        arena.seq_into(t2, t1, hb_plus);
-        let observation = arena.is_irreflexive(t2);
-
         // PROPAGATION: acyclic(co ∪ prop), or the C++ R-A weakening.
         let propagation = match arch.propagation_check() {
             PropagationCheck::Acyclic => {
-                let t3 = arena.alloc_from(fx.rels.co);
-                arena.union_into(t3, ar.prop);
-                arena.is_acyclic(t3)
+                arena.copy_into(t, fx.rels.co);
+                arena.union_into(t, prop);
+                arena.is_acyclic(t)
             }
-            PropagationCheck::IrreflexivePropCo => {
-                let t3 = arena.alloc();
-                arena.seq_into(t3, ar.prop, fx.rels.co);
-                arena.is_irreflexive(t3)
-            }
+            PropagationCheck::IrreflexivePropCo => arena.seq_is_irreflexive(prop, fx.rels.co),
         };
-
-        arena.release(m);
         Verdict { sc_per_location, no_thin_air, observation, propagation }
     }
+}
 
-    /// [`ArenaChecker::check`] with the architecture's ppo frozen to
-    /// `ppo_bound` ([`Architecture::arch_rels_arena_frozen`]): the axiom
-    /// evaluator conditional saturation probes co hypotheses with. The
-    /// bound slot must outlive the call; everything else is released
-    /// before returning, as in `check`.
-    pub fn check_frozen<A: Architecture + ?Sized>(
+impl Fig18Stage {
+    /// The rf scope of a Fig 18 instance from a known ppo.
+    fn rf_rels<'a>(
         &self,
-        arch: &A,
         fx: &ExecFrame<'_>,
+        ppo: impl Into<RelSrc<'a>>,
         arena: &mut RelArena,
-        ppo_bound: RelId,
-    ) -> Verdict {
-        let m = arena.mark();
+    ) -> RfRels {
+        let (no_thin_air, hb_star) = hb_closures(fx, ppo, &self.fences, arena);
+        let (prop_ww, strong) = prop_power_arm_rf(fx, &self.fences, &self.ffence, hb_star, arena);
+        let prop_ww_hb = arena.alloc();
+        arena.seq_into(prop_ww_hb, prop_ww, hb_star);
+        RfRels { no_thin_air, prop_ww, prop_ww_hb, strong }
+    }
+}
 
-        let t = arena.alloc_from(&self.sc_po_loc);
-        arena.union_into(t, fx.rels.com);
-        let sc_per_location = arena.is_acyclic(t);
+/// `hb = ppo ∪ fences ∪ rfe`: returns the NO THIN AIR verdict
+/// (`acyclic(hb)`, read off `hb+`) and the `hb*` slot.
+fn hb_closures<'a, 'b>(
+    fx: &ExecFrame<'_>,
+    ppo: impl Into<RelSrc<'a>>,
+    fences: impl Into<RelSrc<'b>>,
+    arena: &mut RelArena,
+) -> (bool, RelId) {
+    let hb = arena.alloc_from(ppo);
+    arena.union_into(hb, fences);
+    arena.union_into(hb, fx.rels.rfe);
+    let hb_star = arena.alloc();
+    arena.tclosure_into(hb_star, hb);
+    let no_thin_air = arena.is_irreflexive(hb_star);
+    arena.union_id(hb_star);
+    (no_thin_air, hb_star)
+}
 
-        let ar = arch.arch_rels_arena_frozen(fx, ppo_bound, arena);
-
-        let hb = arena.alloc_from(ar.ppo);
-        arena.union_into(hb, ar.fences);
-        arena.union_into(hb, fx.rels.rfe);
-        let hb_plus = arena.alloc();
-        arena.tclosure_into(hb_plus, hb);
-        let no_thin_air = arena.is_irreflexive(hb_plus);
-
-        arena.union_id(hb_plus);
-        let t1 = arena.alloc();
-        arena.seq_into(t1, fx.rels.fre, ar.prop);
-        let t2 = arena.alloc();
-        arena.seq_into(t2, t1, hb_plus);
-        let observation = arena.is_irreflexive(t2);
-
-        let propagation = match arch.propagation_check() {
-            PropagationCheck::Acyclic => {
-                let t3 = arena.alloc_from(fx.rels.co);
-                arena.union_into(t3, ar.prop);
-                arena.is_acyclic(t3)
-            }
-            PropagationCheck::IrreflexivePropCo => {
-                let t3 = arena.alloc();
-                arena.seq_into(t3, ar.prop, fx.rels.co);
-                arena.is_irreflexive(t3)
-            }
-        };
-
-        arena.release(m);
-        Verdict { sc_per_location, no_thin_air, observation, propagation }
+/// [`Architecture::thin_air_base`] for a core whose envelope the caller
+/// already holds: the trait default's `lower ∪ thin_air_fences` without a
+/// second lower fixpoint. Without an envelope it asks the hook. Either
+/// way the base is within `ppo ∪ fences` of every candidate, so pruning
+/// with it is sound.
+pub fn thin_air_base_with<A: Architecture + ?Sized>(
+    arch: &A,
+    core: &ExecCore,
+    env: Option<&PpoEnvelope>,
+) -> Option<Relation> {
+    match env {
+        Some(e) => Some(e.lower.union(&arch.thin_air_fences(core))),
+        None => arch.thin_air_base(core),
     }
 }
 
@@ -605,8 +767,9 @@ mod tests {
     }
 
     /// The arena checker must agree with the owned path verdict-for-
-    /// verdict — for the stock arena implementations *and* for the
-    /// default (materialising) `arch_rels_arena` fallback.
+    /// verdict — per candidate and staged, for the stock arena
+    /// implementations *and* for the default (materialising)
+    /// `arch_rels_arena` fallback.
     #[test]
     fn arena_checker_matches_owned_check() {
         use crate::arena::RelArena;
@@ -633,6 +796,13 @@ mod tests {
                 let arena_v = checker.check(arch.as_ref(), &fx, &mut arena);
                 let owned_v = check(arch.as_ref(), x);
                 assert_eq!(arena_v, owned_v, "{} disagrees", arch.name());
+                // The staged checker, through its two scopes.
+                let (staged, _) = ArenaChecker::for_combination(arch.as_ref(), x.core());
+                let m = arena.mark();
+                let scope = staged.rf_scope(&fx, &mut arena);
+                let staged_v = staged.check_co(arch.as_ref(), &fx, scope, &mut arena);
+                arena.release(m);
+                assert_eq!(staged_v, owned_v, "staged {} disagrees", arch.name());
             }
         }
         // The default fallback (Null overrides nothing) takes the

@@ -7,7 +7,7 @@
 //! the equations of Fig 25. The preserved program order is then
 //! `ppo = (ii ∩ RR) ∪ (ic ∩ RW)`.
 
-use crate::arena::{RelArena, RelId};
+use crate::arena::{RelArena, RelId, RelSrc};
 use crate::event::Dir;
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::relation::Relation;
@@ -146,26 +146,39 @@ fn fixpoint(
 /// intermediate (`ii`/`ic`/`ci`/`cc` and their per-iteration nexts) bump
 /// -allocated under the caller's mark — zero heap allocations.
 pub fn compute_arena(fx: &ExecFrame<'_>, cfg: &PpoConfig, arena: &mut RelArena) -> RelId {
-    let core = fx.core.as_ref();
+    let r = fx.rels;
+    fixpoint_arena(fx.core, cfg, Some([r.rfi.into(), r.rdw.into(), r.detour.into()]), arena)
+}
+
+/// The Fig 25 fixpoint in `arena`, returning the `ppo` slot. `dynamic`
+/// holds the `rfi`, `rdw` and `detour` ingredients (a candidate's own, or
+/// static supersets of them); `None` empties them. `rdw`/`detour` enter
+/// only where the config asks for them.
+fn fixpoint_arena(
+    core: &ExecCore,
+    cfg: &PpoConfig,
+    dynamic: Option<[RelSrc<'_>; 3]>,
+    arena: &mut RelArena,
+) -> RelId {
     let deps = core.deps();
 
     let dp = arena.alloc_from(&deps.addr);
     arena.union_into(dp, &deps.data);
 
     let ii0 = arena.alloc_from(dp);
-    if cfg.rdw_in_ii0 {
-        arena.union_into(ii0, fx.rels.rdw);
-    }
-    arena.union_into(ii0, fx.rels.rfi);
-
     let ic0 = arena.alloc();
-
     let ci0 = arena.alloc();
     if cfg.ctrl_cfence_in_ci0 {
         arena.copy_into(ci0, &deps.ctrl_cfence);
     }
-    if cfg.detour_in_ci0 {
-        arena.union_into(ci0, fx.rels.detour);
+    if let Some([rfi, rdw, detour]) = dynamic {
+        if cfg.rdw_in_ii0 {
+            arena.union_into(ii0, rdw);
+        }
+        arena.union_into(ii0, rfi);
+        if cfg.detour_in_ci0 {
+            arena.union_into(ci0, detour);
+        }
     }
 
     let cc0 = arena.alloc_from(dp);
@@ -244,22 +257,7 @@ pub fn compute_arena(fx: &ExecFrame<'_>, cfg: &PpoConfig, arena: &mut RelArena) 
 /// underapproximation that makes generation-time NO THIN AIR pruning
 /// sound ([`crate::model::Architecture::thin_air_base`]).
 pub fn compute_static(core: &ExecCore, cfg: &PpoConfig) -> Relation {
-    let n = core.universe();
-    let dp = core.deps().addr.union(&core.deps().data);
-
-    let ii0 = dp.clone();
-    let ic0 = Relation::empty(n);
-    let ci0 =
-        if cfg.ctrl_cfence_in_ci0 { core.deps().ctrl_cfence.clone() } else { Relation::empty(n) };
-    let mut cc0 = dp;
-    if cfg.po_loc_in_cc0 {
-        cc0.union_with(core.po_loc());
-    }
-    cc0.union_with(&core.deps().ctrl);
-    cc0.union_with(&core.deps().addr.seq(core.po()));
-
-    let (ii, ic, _, _) = fixpoint(&ii0, &ic0, &ci0, &cc0);
-    ii.restrict(core.reads(), core.reads()).union(&ic.restrict(core.reads(), core.writes()))
+    static_fixpoint(core, cfg, None)
 }
 
 /// The matching *over*approximation: the same fixpoint with the dynamic
@@ -278,40 +276,55 @@ pub fn compute_static(core: &ExecCore, cfg: &PpoConfig) -> Relation {
 /// this sandwiches the exact ppo — the envelope behind
 /// [`crate::model::Tractability::Conditional`].
 pub fn compute_static_upper(core: &ExecCore, cfg: &PpoConfig) -> Relation {
-    let n = core.universe();
-    let dp = core.deps().addr.union(&core.deps().data);
+    static_fixpoint(core, cfg, Some(&DynamicSupersets::of(core, cfg)))
+}
 
-    let mut ii0 = dp.clone();
-    ii0.union_with(
-        &core.same_loc().intersect(core.internal()).restrict(core.writes(), core.reads()),
-    );
-    if cfg.rdw_in_ii0 {
-        ii0.union_with(&core.po_loc().restrict(core.reads(), core.reads()));
+/// The static supersets of the dynamic Fig 25 ingredients listed at
+/// [`compute_static_upper`], for one core (empty where the config drops
+/// the ingredient).
+struct DynamicSupersets {
+    rfi: Relation,
+    rdw: Relation,
+    detour: Relation,
+}
+
+impl DynamicSupersets {
+    fn of(core: &ExecCore, cfg: &PpoConfig) -> Self {
+        let n = core.universe();
+        let (r, w) = (core.reads(), core.writes());
+        let rfi = core.same_loc().intersect(core.internal()).restrict(w, r);
+        let rdw = if cfg.rdw_in_ii0 { core.po_loc().restrict(r, r) } else { Relation::empty(n) };
+        let detour =
+            if cfg.detour_in_ci0 { core.po_loc().restrict(w, r) } else { Relation::empty(n) };
+        DynamicSupersets { rfi, rdw, detour }
     }
 
-    let ic0 = Relation::empty(n);
-
-    let mut ci0 =
-        if cfg.ctrl_cfence_in_ci0 { core.deps().ctrl_cfence.clone() } else { Relation::empty(n) };
-    if cfg.detour_in_ci0 {
-        ci0.union_with(&core.po_loc().restrict(core.writes(), core.reads()));
+    /// With all three empty the upper fixpoint starts from the lower
+    /// one's base cases, so the two bounds coincide.
+    fn is_empty(&self) -> bool {
+        self.rfi.is_empty() && self.rdw.is_empty() && self.detour.is_empty()
     }
+}
 
-    let mut cc0 = dp;
-    if cfg.po_loc_in_cc0 {
-        cc0.union_with(core.po_loc());
-    }
-    cc0.union_with(&core.deps().ctrl);
-    cc0.union_with(&core.deps().addr.seq(core.po()));
-
-    let (ii, ic, _, _) = fixpoint(&ii0, &ic0, &ci0, &cc0);
-    ii.restrict(core.reads(), core.reads()).union(&ic.restrict(core.reads(), core.writes()))
+/// The Fig 25 fixpoint from the static base cases, plus the dynamic
+/// supersets when given ([`compute_static`] / [`compute_static_upper`]),
+/// evaluated in a scratch arena.
+fn static_fixpoint(
+    core: &ExecCore,
+    cfg: &PpoConfig,
+    dynamic: Option<&DynamicSupersets>,
+) -> Relation {
+    let mut arena = RelArena::new(core.universe());
+    let dynamic = dynamic.map(|d| [(&d.rfi).into(), (&d.rdw).into(), (&d.detour).into()]);
+    let ppo = fixpoint_arena(core, cfg, dynamic, &mut arena);
+    arena.to_relation(ppo)
 }
 
 /// A two-sided, candidate-independent bound on the Fig 25 ppo:
 /// `lower ⊆ ppo(x) ⊆ upper` for every candidate `x` built on the core the
-/// envelope was computed from. Computed once per program (per screened rf
-/// class in `decide_log`) and reused across every coherence query on it.
+/// envelope was computed from. Computed once per control-flow combination
+/// (per screened rf class in `decide_log`) and reused across every
+/// candidate and coherence query on it.
 ///
 /// The upper bound is materialised lazily: a query settled by the
 /// pessimistic pass alone — every definitively *forbidden* outcome —
@@ -344,9 +357,22 @@ impl PpoEnvelope {
     }
 
     /// True when the bounds coincide — the dynamic ingredients cannot
-    /// affect ppo on this program, so the envelope is exact.
+    /// affect ppo on this program, so `lower` is the exact ppo of every
+    /// candidate. When the three static supersets of the dynamic
+    /// ingredients ([`compute_static_upper`]) are all empty — then the
+    /// upper fixpoint starts from the lower one's base cases — the answer
+    /// is `true` without running the upper fixpoint.
     pub fn tight(&self, core: &ExecCore) -> bool {
+        if self.upper.get().is_none() && DynamicSupersets::of(core, &self.cfg).is_empty() {
+            return true;
+        }
         self.lower == *self.upper(core)
+    }
+
+    /// The Fig 25 configuration the envelope bounds; [`compute_arena`]
+    /// under it is the exact ppo of each candidate.
+    pub fn config(&self) -> &PpoConfig {
+        &self.cfg
     }
 }
 
@@ -444,6 +470,92 @@ mod tests {
                 assert!(env.lower.is_subset(&exact), "lower bound must be ⊆ exact ppo");
                 assert!(exact.is_subset(upper), "exact ppo must be ⊆ upper bound");
                 assert!(env.lower.is_subset(upper), "the envelope must be ordered");
+            }
+        }
+    }
+
+    #[test]
+    fn tight_shortcut_agrees_with_full_comparison() {
+        use crate::event::Fence;
+        let fixtures = [
+            fixtures::mp(Device::Fence(Fence::Lwsync), Device::Addr),
+            fixtures::mp(Device::None, Device::CtrlCfence),
+            fixtures::sb(Device::Fence(Fence::Sync), Device::None),
+            fixtures::lb(Device::Data, Device::Ctrl),
+            fixtures::wrc(Device::Fence(Fence::Lwsync), Device::Addr),
+            fixtures::isa2(Device::Fence(Fence::Lwsync), Device::Addr, Device::Data),
+            fixtures::two_plus_two_w(Device::Fence(Fence::Lwsync), Device::None),
+            fixtures::w_rw_2w(Device::Fence(Fence::Lwsync), Device::Fence(Fence::Sync)),
+            fixtures::rwc(Device::Fence(Fence::Sync), Device::Fence(Fence::Sync)),
+            fixtures::r(Device::Fence(Fence::Lwsync), Device::Fence(Fence::Sync)),
+            fixtures::s(Device::None, Device::Addr),
+            fixtures::iriw(Device::Fence(Fence::Sync), Device::Addr),
+            fixtures::w_rwc(Device::Fence(Fence::Eieio), Device::Addr, Device::Fence(Fence::Sync)),
+            fixtures::co_ww(),
+            fixtures::co_rw1(),
+            fixtures::co_rw2(),
+            fixtures::co_wr(),
+            fixtures::co_rr(),
+            fixtures::mp_fig4(),
+        ];
+        let mut non_tight = 0;
+        for x in &fixtures {
+            for cfg in [PpoConfig::power(), PpoConfig::arm(), PpoConfig::power().without_dynamic()]
+            {
+                let core = x.core();
+                let shortcut = PpoEnvelope::compute(core, &cfg).tight(core);
+                let full = compute_static(core, &cfg) == compute_static_upper(core, &cfg);
+                assert_eq!(shortcut, full, "tight() must equal lower == upper");
+                non_tight += usize::from(!full);
+            }
+        }
+        assert!(non_tight > 0, "the fixtures must include a non-tight envelope (coRR)");
+        let co_rr = fixtures::co_rr();
+        assert!(!PpoEnvelope::compute(co_rr.core(), &PpoConfig::power()).tight(co_rr.core()));
+    }
+
+    /// The arena-evaluated static bounds against the owned reference
+    /// fixpoint run on the same base cases.
+    #[test]
+    fn static_bounds_match_the_owned_fixpoint() {
+        use crate::event::Fence;
+        for x in [
+            fixtures::mp(Device::Fence(Fence::Lwsync), Device::Addr),
+            fixtures::lb(Device::Data, Device::Ctrl),
+            fixtures::mp(Device::None, Device::CtrlCfence),
+            fixtures::iriw(Device::Fence(Fence::Sync), Device::Addr),
+            fixtures::co_rr(),
+            fixtures::co_rw2(),
+            fixtures::co_wr(),
+        ] {
+            for cfg in [PpoConfig::power(), PpoConfig::arm()] {
+                let core = x.core().as_ref();
+                let n = core.universe();
+                for dynamic in [None, Some(DynamicSupersets::of(core, &cfg))] {
+                    let dp = core.deps().addr.union(&core.deps().data);
+                    let mut ii0 = dp.clone();
+                    let mut ci0 = if cfg.ctrl_cfence_in_ci0 {
+                        core.deps().ctrl_cfence.clone()
+                    } else {
+                        Relation::empty(n)
+                    };
+                    if let Some(d) = &dynamic {
+                        ii0.union_with(&d.rfi);
+                        ii0.union_with(&d.rdw);
+                        ci0.union_with(&d.detour);
+                    }
+                    let mut cc0 = dp;
+                    if cfg.po_loc_in_cc0 {
+                        cc0.union_with(core.po_loc());
+                    }
+                    cc0.union_with(&core.deps().ctrl);
+                    cc0.union_with(&core.deps().addr.seq(core.po()));
+                    let (ii, ic, _, _) = fixpoint(&ii0, &Relation::empty(n), &ci0, &cc0);
+                    let owned = ii
+                        .restrict(core.reads(), core.reads())
+                        .union(&ic.restrict(core.reads(), core.writes()));
+                    assert_eq!(static_fixpoint(core, &cfg, dynamic.as_ref()), owned);
+                }
             }
         }
     }

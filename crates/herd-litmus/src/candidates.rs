@@ -25,7 +25,8 @@ use herd_core::arena::RelArena;
 use herd_core::enumerate::{build_co, build_co_arena, HeapPerm};
 use herd_core::event::{Dir, Event, Fence, Loc, ThreadId, Val};
 use herd_core::exec::{Deps, ExecCore, ExecFrame, ExecRels, Execution};
-use herd_core::model::{Architecture, ArenaChecker, Verdict};
+use herd_core::model::{thin_air_base_with, Architecture, ArenaChecker, RfScope, Verdict};
+use herd_core::ppo::PpoEnvelope;
 use herd_core::relation::Relation;
 use herd_core::thinair::ThinAirTracker;
 use herd_core::uniproc::{EventShape, LocGraphs};
@@ -210,8 +211,9 @@ impl EnumStats {
 
 /// Callback computing an architecture's static NO THIN AIR base for the
 /// core of one control-flow combination (see
-/// [`Architecture::thin_air_base`]); `None` disables thin-air pruning.
-type ThinAirHook<'a> = &'a dyn Fn(&ExecCore) -> Option<Relation>;
+/// [`Architecture::thin_air_base`]), given the ppo envelope the verdict
+/// modes already computed for it; `None` disables thin-air pruning.
+type ThinAirHook<'a> = &'a dyn Fn(&ExecCore, Option<&PpoEnvelope>) -> Option<Relation>;
 
 /// One judged candidate of the arena-backed verdict stream: the axiom
 /// verdict plus the observables the final condition consumes — no owned
@@ -351,7 +353,7 @@ pub fn stream_shard<A: Architecture + ?Sized>(
     sink: &mut dyn FnMut(Candidate),
 ) -> Result<EnumStats, CandidateError> {
     assert!(nshards > 0 && shard < nshards, "shard index out of range");
-    let hook = |core: &ExecCore| arch.thin_air_base(core);
+    let hook = |core: &ExecCore, _: Option<&PpoEnvelope>| arch.thin_air_base(core);
     stream_impl(
         test,
         opts,
@@ -366,8 +368,9 @@ pub fn stream_shard<A: Architecture + ?Sized>(
 /// sound for `arch` *and* judges each candidate against the four axioms
 /// in place, without materialising an owned [`Execution`] — the driver
 /// behind [`crate::simulate::simulate_with`]. The caller-owned worker
-/// state (one [`RelArena`] per thread) lives inside; per-candidate heap
-/// traffic is limited to the final-state observables.
+/// state (one [`RelArena`] per thread) lives inside; final registers are
+/// built once per rf configuration and final memory is overwritten in
+/// place, so the stream allocates nothing per coherence choice.
 ///
 /// # Errors
 ///
@@ -441,7 +444,7 @@ fn stream_verdicts_owned<A: Architecture + ?Sized>(
     owner: CfgOwner,
     sink: &mut dyn FnMut(&VerdictCandidate<'_>),
 ) -> Result<EnumStats, CandidateError> {
-    let hook = |core: &ExecCore| arch.thin_air_base(core);
+    let hook = |core: &ExecCore, env: Option<&PpoEnvelope>| thin_air_base_with(arch, core, env);
     // `&A` is itself an `Architecture` (the reference blanket impl), and
     // it is `Sized`, so `&&A` coerces to the trait object the mode holds.
     let arch_ref = &arch;
@@ -1003,28 +1006,38 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
             Some(g)
         }
     };
-    // NO THIN AIR pruning: the architecture's static `ppo ∪ fences` base
-    // for this combination's core (width-generic: any universe size).
-    let mut thinair: Option<ThinAirTracker> =
-        thin_air.and_then(|hook| hook(&core)).map(|base| ThinAirTracker::new(&base));
-
     // Verdict modes: retune the worker arena to this combination's
     // universe and set up the per-candidate relation slots plus each
-    // model's static checker inputs, once per combination.
+    // model's combination-scope checker (static fences, and the exact
+    // ppo when the envelope is tight), once per combination.
+    let mut envelope = None;
     let vstate = match &*mode {
         Emit::Verdicts { arch, .. } => {
             arena.reset(n);
             let rels = ExecRels::alloc(arena);
-            Some((vec![ArenaChecker::new(*arch, &core)], rels))
+            let (checker, env) = ArenaChecker::for_combination(*arch, &core);
+            envelope = env;
+            Some((vec![checker], rels))
         }
         Emit::Multi { archs, .. } => {
             arena.reset(n);
             let rels = ExecRels::alloc(arena);
-            Some((archs.iter().map(|a| ArenaChecker::new(a, &core)).collect::<Vec<_>>(), rels))
+            let checkers = archs.iter().map(|a| ArenaChecker::for_combination(a, &core).0);
+            Some((checkers.collect::<Vec<_>>(), rels))
         }
         Emit::Cands(_) => None,
     };
     let mut verdicts: Vec<Verdict> = Vec::new();
+    let mut scopes: Vec<RfScope> = Vec::new();
+    let mut final_mem: BTreeMap<String, i64> =
+        locs.names().iter().map(|name| (name.clone(), 0)).collect();
+
+    // NO THIN AIR pruning: the architecture's static `ppo ∪ fences` base
+    // for this combination's core (width-generic: any universe size),
+    // from the envelope above when there is one.
+    let mut thinair: Option<ThinAirTracker> = thin_air
+        .and_then(|hook| hook(&core, envelope.as_ref()))
+        .map(|base| ThinAirTracker::new(&base));
 
     let symbols: Vec<SymId> = reads.iter().map(|&r| SymId(r)).collect();
 
@@ -1141,15 +1154,22 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
             continue;
         }
 
-        // Verdict mode: fill the arena rf slot and refresh the
-        // rf-invariant derived relations once for the whole rf scope.
-        if let Some((_, rels)) = &vstate {
+        // Verdict mode: fill the arena rf slot, refresh the rf-invariant
+        // derived relations and each checker's rf scope once for the
+        // whole rf configuration, above a mark released after its last
+        // coherence choice.
+        let rf_mark = vstate.as_ref().map(|(checkers, rels)| {
             arena.clear(rels.rf);
             for (k, &r) in reads.iter().enumerate() {
                 arena.add(rels.rf, rf_choices[k][rf_pick[k]], r);
             }
             rels.derive_rf(&core, arena);
-        }
+            let m = arena.mark();
+            let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
+            scopes.clear();
+            scopes.extend(checkers.iter().map(|ck| ck.rf_scope(&fx, arena)));
+            m
+        });
 
         let menu_radices: Vec<usize> =
             menus.as_ref().map(|m| m.iter().map(Vec::len).collect()).unwrap_or_default();
@@ -1231,22 +1251,25 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
                     verdicts.clear();
                     match &*judged {
                         Emit::Verdicts { arch, .. } => {
-                            verdicts.push(checkers[0].check(*arch, &fx, arena));
+                            verdicts.push(checkers[0].check_co(*arch, &fx, scopes[0], arena));
                         }
                         Emit::Multi { archs, .. } => {
-                            for (ck, a) in checkers.iter().zip(archs.iter()) {
-                                verdicts.push(ck.check(a, &fx, arena));
+                            for ((ck, a), &scope) in checkers.iter().zip(archs.iter()).zip(&scopes)
+                            {
+                                verdicts.push(ck.check_co(a, &fx, scope, arena));
                             }
                         }
                         Emit::Cands(_) => unreachable!("outer match excludes Cands"),
                     }
                     for (evs, final_regs) in &concs {
-                        let fx = ExecFrame { core: &core, events: evs, rels };
-                        let final_mem: BTreeMap<String, i64> = fx
-                            .final_memory(arena)
-                            .into_iter()
-                            .map(|(l, v)| (locs.name(l).to_owned(), v.0))
-                            .collect();
+                        // Every location has an initial write, so each
+                        // has exactly one co-maximal write: overwrite its
+                        // entry in place, no allocation per candidate.
+                        let co = arena.view(rels.co);
+                        for e in evs.iter().filter(|e| e.is_write() && co.row_is_empty(e.id)) {
+                            *final_mem.get_mut(locs.name(e.loc)).expect("every location keyed") =
+                                e.val.0;
+                        }
                         match &mut *judged {
                             Emit::Verdicts { sink, .. } => sink(&VerdictCandidate {
                                 verdict: verdicts[0],
@@ -1280,6 +1303,9 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
             }
         }
 
+        if let Some(m) = rf_mark {
+            arena.release(m);
+        }
         if !bump(&mut rf_pick, &rf_radices) {
             break;
         }

@@ -186,7 +186,7 @@ pub fn simulate_with<A: Architecture + ?Sized>(
     arch: &A,
     opts: &EnumOptions,
 ) -> Result<SimOutcome, CandidateError> {
-    let mut acc = Judgement::default();
+    let mut acc = Judgement::new(test);
     let result = candidates::stream_arch_verdicts(test, opts, arch, &mut |vc| {
         acc.absorb_verdict(test, vc);
     });
@@ -276,7 +276,7 @@ pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
     let (accs, results) = sched::execute_units(
         units.len(),
         workers,
-        |_| Judgement::default(),
+        |_| Judgement::new(test),
         |_| {},
         |acc, u| {
             let (start, end) = units[u];
@@ -285,7 +285,7 @@ pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
             })
         },
     );
-    let mut acc = Judgement::default();
+    let mut acc = Judgement::new(test);
     for part in accs {
         acc.merge(part);
     }
@@ -360,15 +360,9 @@ pub fn simulate_decided<A: Architecture + ?Sized>(
     opts: &EnumOptions,
     stats: &mut crate::decide::QueryStats,
 ) -> Result<SimOutcome, CandidateError> {
-    let mut acc = Judgement::default();
+    let mut acc = Judgement::new(test);
     crate::decide::allowed_full_outcomes(test, arch, opts, stats, &mut |regs, mem| {
-        acc.allowed += 1;
-        if eval_prop_parts(&test.condition.prop, regs, mem) {
-            acc.positive += 1;
-        } else {
-            acc.negative += 1;
-        }
-        acc.states.insert(render_state(test, regs, mem));
+        acc.tally(test, Verdict::ALLOWED, regs, mem);
     })?;
     let probed = acc.allowed as u128;
     Ok(acc.outcome(test, arch, probed, 0))
@@ -381,7 +375,7 @@ pub fn judge<A: Architecture + ?Sized>(
     arch: &A,
     cands: &[Candidate],
 ) -> SimOutcome {
-    let mut acc = Judgement::default();
+    let mut acc = Judgement::new(test);
     for c in cands {
         acc.absorb(test, arch, c);
     }
@@ -389,15 +383,52 @@ pub fn judge<A: Architecture + ?Sized>(
 }
 
 /// Streaming accumulator behind [`simulate_with`] and [`judge`].
-#[derive(Default)]
 struct Judgement {
     allowed: usize,
     positive: usize,
     negative: usize,
     states: BTreeSet<String>,
+    /// The observables the condition mentions, in first-mention order
+    /// without repeats — the fields of every rendered state.
+    atoms: Vec<StateAtom>,
+    /// The buffer each allowed candidate's state is rendered into;
+    /// copied into `states` only when the state is new.
+    buf: String,
+}
+
+/// One observable of a rendered final state.
+enum StateAtom {
+    /// A register, `tid:reg`.
+    Reg(u16, Reg),
+    /// A memory location, by name.
+    Mem(String),
 }
 
 impl Judgement {
+    /// An empty accumulator for `test`, with its condition's observables
+    /// collected once.
+    fn new(test: &LitmusTest) -> Self {
+        let mut atoms = Vec::new();
+        let mut seen = BTreeSet::new();
+        collect_atoms(&test.condition.prop, &mut |p| match p {
+            Prop::RegEq { tid, reg, .. } if seen.insert(format!("{tid}:{reg}")) => {
+                atoms.push(StateAtom::Reg(*tid, *reg));
+            }
+            Prop::MemEq { loc, .. } if seen.insert(loc.clone()) => {
+                atoms.push(StateAtom::Mem(loc.clone()));
+            }
+            _ => {}
+        });
+        Judgement {
+            allowed: 0,
+            positive: 0,
+            negative: 0,
+            states: BTreeSet::new(),
+            atoms,
+            buf: String::new(),
+        }
+    }
+
     /// Folds another shard's judgement into this one.
     fn merge(&mut self, other: Judgement) {
         self.allowed += other.allowed;
@@ -436,7 +467,38 @@ impl Judgement {
         } else {
             self.negative += 1;
         }
-        self.states.insert(render_state(test, final_regs, final_mem));
+        self.render_state(final_regs, final_mem);
+        if !self.states.contains(self.buf.as_str()) {
+            self.states.insert(self.buf.clone());
+        }
+    }
+
+    /// Renders the observable state into `buf`, in the style of litmus
+    /// logs: `1:r1=1; 1:r5=0;`.
+    fn render_state(
+        &mut self,
+        final_regs: &BTreeMap<(u16, Reg), RegFinal>,
+        final_mem: &BTreeMap<String, i64>,
+    ) {
+        use std::fmt::Write;
+        let buf = &mut self.buf;
+        buf.clear();
+        for (i, atom) in self.atoms.iter().enumerate() {
+            if i > 0 {
+                buf.push(' ');
+            }
+            // Writing into a String cannot fail.
+            let _ = match atom {
+                StateAtom::Reg(tid, reg) => match final_regs.get(&(*tid, *reg)) {
+                    Some(RegFinal::Int(v)) => write!(buf, "{tid}:{reg}={v};"),
+                    Some(RegFinal::Addr(l)) => write!(buf, "{tid}:{reg}={l};"),
+                    None => write!(buf, "{tid}:{reg}=?;"),
+                },
+                StateAtom::Mem(loc) => {
+                    write!(buf, "{loc}={};", final_mem.get(loc).copied().unwrap_or(0))
+                }
+            };
+        }
     }
 
     fn outcome<A: Architecture + ?Sized>(
@@ -625,33 +687,6 @@ pub fn eval_prop_parts(
             _ => false,
         },
     }
-}
-
-/// Renders the observable state (the registers and locations the condition
-/// mentions), in the style of litmus logs: `1:r1=1; 1:r5=0;`.
-fn render_state(
-    test: &LitmusTest,
-    final_regs: &BTreeMap<(u16, Reg), RegFinal>,
-    final_mem: &BTreeMap<String, i64>,
-) -> String {
-    let mut pieces: Vec<String> = Vec::new();
-    let mut seen = BTreeSet::new();
-    collect_atoms(&test.condition.prop, &mut |p| match p {
-        Prop::RegEq { tid, reg, .. } if seen.insert(format!("{tid}:{reg}")) => {
-            let v = match final_regs.get(&(*tid, *reg)) {
-                Some(RegFinal::Int(v)) => v.to_string(),
-                Some(RegFinal::Addr(l)) => l.clone(),
-                None => "?".into(),
-            };
-            pieces.push(format!("{tid}:{reg}={v};"));
-        }
-        Prop::MemEq { loc, .. } if seen.insert(loc.clone()) => {
-            let v = final_mem.get(loc).copied().unwrap_or(0);
-            pieces.push(format!("{loc}={v};"));
-        }
-        _ => {}
-    });
-    pieces.join(" ")
 }
 
 fn collect_atoms(p: &Prop, f: &mut impl FnMut(&Prop)) {

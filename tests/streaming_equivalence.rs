@@ -295,3 +295,244 @@ fn arena_verdict_stream_matches_owned_candidate_stream_corpus_wide() {
         }
     }
 }
+
+/// The inputs of the staged-checker equivalence: the built-in corpus, the
+/// `corpus/*.litmus` files and a deterministic sample of the diy tests of
+/// the Power and ARM pools.
+fn staged_inputs() -> Vec<herd_litmus::program::LitmusTest> {
+    use herd_diy::{arm_pool, generate_tests, power_pool};
+    use herd_litmus::{corpus, isa::Isa};
+    let mut tests: Vec<_> = [corpus::power_corpus(), corpus::arm_corpus(), corpus::x86_corpus()]
+        .into_iter()
+        .flatten()
+        .map(|e| e.test)
+        .collect();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/herd-litmus/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "litmus"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "corpus/*.litmus must not be empty");
+    for path in files {
+        let src = std::fs::read_to_string(&path).expect("readable litmus file");
+        tests.push(herd_litmus::parse::parse(&src).expect("corpus file parses"));
+    }
+    for (pool, isa) in [(power_pool(), Isa::Power), (arm_pool(), Isa::Arm)] {
+        tests.extend(generate_tests(&pool, 5, isa, 400).into_iter().step_by(16));
+    }
+    for src in RDW_PROBES {
+        tests.push(herd_litmus::parse::parse(src).expect("rdw probe parses"));
+    }
+    tests
+}
+
+/// Message passing whose reader chain is `addr; rdw; addr`: the two reads
+/// of `x` are ordered only by `rdw = po-loc ∩ (fre; rfe)` (Fig 27), so
+/// the envelope is not tight and the condition is forbidden only under the
+/// exact per-candidate ppo — allowed once `rdw` is dropped.
+const RDW_PROBES: [&str; 2] = [
+    "PPC mp+lwsync+addr-rdw-addr
+{
+0:r2=a; 0:r4=y;
+1:r2=y; 1:r4=x; 1:r8=a;
+2:r2=x;
+}
+ P0           | P1            | P2           ;
+ li r1,1      | lwz r1,0(r2)  | li r1,1      ;
+ stw r1,0(r2) | xor r3,r1,r1  | stw r1,0(r2) ;
+ lwsync       | lwzx r5,r3,r4 |              ;
+ stw r1,0(r4) | lwz r6,0(r4)  |              ;
+              | xor r7,r6,r6  |              ;
+              | lwzx r9,r7,r8 |              ;
+exists (1:r1=1 /\\ 1:r5=0 /\\ 1:r6=1 /\\ 1:r9=0)
+",
+    "ARM mp+dmb+addr-rdw-addr
+{
+0:r2=a; 0:r4=y;
+1:r2=y; 1:r4=x; 1:r8=a;
+2:r2=x;
+}
+ P0           | P1             | P2           ;
+ mov r1,#1    | ldr r1,[r2]    | mov r1,#1    ;
+ str r1,[r2]  | eor r3,r1,r1   | str r1,[r2]  ;
+ dmb          | ldr r5,[r4,r3] |              ;
+ str r1,[r4]  | ldr r6,[r4]    |              ;
+              | eor r7,r6,r6   |              ;
+              | ldr r9,[r8,r7] |              ;
+exists (1:r1=1 /\\ 1:r5=0 /\\ 1:r6=1 /\\ 1:r9=0)
+",
+];
+
+/// The rdw probes separate the exact ppo from its lower bound: forbidden
+/// under Power and ARM, allowed once `rdw` leaves ppo (Power-static-ppo).
+#[test]
+fn rdw_probes_need_the_exact_ppo() {
+    use herd_core::arch::{Arm, ArmVariant};
+    let opts = EnumOptions::default();
+    let [ppc, arm] = RDW_PROBES.map(|src| herd_litmus::parse::parse(src).expect("parses"));
+    assert!(!simulate_with(&ppc, &Power::new(), &opts).unwrap().validated);
+    assert!(simulate_with(&ppc, &Power::without_dynamic_ppo(), &opts).unwrap().validated);
+    assert!(!simulate_with(&arm, &Arm::new(ArmVariant::Proposed), &opts).unwrap().validated);
+}
+
+/// The architectures the staged checker runs for each dialect: Power,
+/// Power-static-ppo, ARM proposed, ARM-llh and TSO.
+fn staged_archs(isa: herd_litmus::isa::Isa) -> Vec<Box<dyn Architecture + Sync>> {
+    use herd_core::arch::{Arm, ArmVariant, Tso};
+    use herd_litmus::isa::Isa;
+    match isa {
+        Isa::Power => vec![Box::new(Power::new()), Box::new(Power::without_dynamic_ppo())],
+        Isa::Arm => {
+            vec![
+                Box::new(Arm::new(ArmVariant::Proposed)),
+                Box::new(Arm::new(ArmVariant::ProposedLlh)),
+            ]
+        }
+        Isa::X86 => vec![Box::new(Tso)],
+    }
+}
+
+/// The final state the condition observes, rendered independently of the
+/// simulator: `1:r1=1; x=2;`, each observable once in first-mention order.
+fn reference_state(
+    test: &herd_litmus::program::LitmusTest,
+    c: &herd_litmus::candidates::Candidate,
+) -> String {
+    use herd_litmus::candidates::RegFinal;
+    use herd_litmus::program::Prop;
+    fn atoms<'p>(p: &'p Prop, out: &mut Vec<&'p Prop>) {
+        match p {
+            Prop::Not(a) => atoms(a, out),
+            Prop::And(a, b) | Prop::Or(a, b) => {
+                atoms(a, out);
+                atoms(b, out);
+            }
+            atom => out.push(atom),
+        }
+    }
+    let mut list = Vec::new();
+    atoms(&test.condition.prop, &mut list);
+    let mut seen = std::collections::BTreeSet::new();
+    let mut pieces = Vec::new();
+    for p in list {
+        match p {
+            Prop::RegEq { tid, reg, .. } if seen.insert(format!("{tid}:{reg}")) => {
+                let v = match c.final_regs.get(&(*tid, *reg)) {
+                    Some(RegFinal::Int(v)) => v.to_string(),
+                    Some(RegFinal::Addr(l)) => l.clone(),
+                    None => "?".into(),
+                };
+                pieces.push(format!("{tid}:{reg}={v};"));
+            }
+            Prop::MemEq { loc, .. } if seen.insert(loc.clone()) => {
+                pieces.push(format!("{loc}={};", c.final_mem.get(loc).copied().unwrap_or(0)));
+            }
+            _ => {}
+        }
+    }
+    pieces.join(" ")
+}
+
+/// The staged arena checker — combination, rf-configuration and coherence
+/// scopes — against the reference oracle (eager `enumerate` plus the owned
+/// `model::check`): identical rendered states byte for byte, identical
+/// candidate/allowed/positive/negative counts, and the pruned count of the
+/// owned pruning stream. Both tight and non-tight ppo envelopes must occur,
+/// so the per-candidate fallback scope is exercised too.
+#[test]
+fn staged_checker_matches_the_reference_oracle() {
+    use herd_core::model::ArenaChecker;
+    use herd_litmus::candidates::stream_arch;
+    use herd_litmus::simulate::eval_prop;
+    use std::collections::{BTreeSet, HashSet};
+
+    let opts = EnumOptions::default();
+    let (mut tight, mut non_tight) = (0usize, 0usize);
+    for test in staged_inputs() {
+        let cands = enumerate(&test, &opts).expect("enumeration");
+        for arch in staged_archs(test.isa) {
+            let arch = arch.as_ref();
+            let what = format!("{} under {}", test.name, arch.name());
+            let sim = simulate_with(&test, arch, &opts).expect("staged simulation");
+            let (mut allowed, mut positive, mut negative) = (0, 0, 0);
+            let mut states = BTreeSet::new();
+            for c in &cands {
+                if check(arch, &c.exec).allowed() {
+                    allowed += 1;
+                    if eval_prop(&test.condition.prop, c) {
+                        positive += 1;
+                    } else {
+                        negative += 1;
+                    }
+                    states.insert(reference_state(&test, c));
+                }
+            }
+            let owned = stream_arch(&test, &opts, arch, &mut |_| {}).expect("owned stream");
+            assert_eq!(sim.candidates, cands.len() as u128, "{what}: candidates");
+            assert_eq!(sim.pruned, owned.pruned, "{what}: pruned");
+            assert_eq!(sim.allowed, allowed, "{what}: allowed");
+            assert_eq!(sim.positive, positive, "{what}: positive");
+            assert_eq!(sim.negative, negative, "{what}: negative");
+            assert_eq!(sim.states, states, "{what}: rendered states");
+
+            // Which scope the checker picked, once per control-flow
+            // combination (candidates of one combination share a core):
+            // the exact ppo per combination when the envelope is tight,
+            // per candidate otherwise.
+            let mut cores = HashSet::new();
+            for c in &cands {
+                let core = c.exec.core();
+                if cores.insert(std::sync::Arc::as_ptr(core)) {
+                    let (checker, env) = ArenaChecker::for_combination(arch, core);
+                    if let Some(env) = env {
+                        assert!(checker.is_staged(), "{what}: Fig 18 instances are staged");
+                        if env.tight(core) {
+                            tight += 1;
+                        } else {
+                            non_tight += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(tight > 0, "no combination had a tight envelope");
+    assert!(non_tight > 0, "no combination exercised the per-candidate ppo scope");
+}
+
+/// The multi-model verdict stream runs one staged checker per model over
+/// shared relations: per candidate, every model's verdict must equal the
+/// owned `model::check` on the same uniproc-pruned candidate stream.
+#[test]
+fn staged_multi_verdicts_match_owned_checks() {
+    use herd_litmus::candidates::{stream, stream_multi_verdicts, Prune};
+
+    let opts = EnumOptions::default();
+    for test in staged_inputs() {
+        let boxed = staged_archs(test.isa);
+        let archs: Vec<&dyn Architecture> =
+            boxed.iter().map(|a| a.as_ref() as &dyn Architecture).collect();
+        let prune = if archs.iter().any(|a| a.tolerates_load_load_hazards()) {
+            Prune::UniprocLlh
+        } else {
+            Prune::Uniproc
+        };
+        let mut owned: Vec<String> = Vec::new();
+        let owned_stats = stream(&test, &opts, prune, &mut |c| {
+            let vs: Vec<_> = archs.iter().map(|a| check(*a, &c.exec)).collect();
+            owned.push(format!("{vs:?}|{:?}|{:?}", c.final_regs, c.final_mem));
+        })
+        .expect("owned stream");
+        let mut multi: Vec<String> = Vec::new();
+        let multi_stats = stream_multi_verdicts(&test, &opts, &archs, &mut |mc| {
+            multi.push(format!("{:?}|{:?}|{:?}", mc.verdicts, mc.final_regs, mc.final_mem));
+        })
+        .expect("multi stream");
+        owned.sort();
+        multi.sort();
+        assert_eq!(owned, multi, "{}: per-candidate verdicts differ", test.name);
+        assert_eq!(owned_stats, multi_stats, "{}: emitted/pruned accounting differs", test.name);
+    }
+}
