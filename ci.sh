@@ -30,23 +30,30 @@
 #                                     counting global allocator asserts 0
 #                                     steady-state heap allocations per
 #                                     candidate on iriw+2w
-#   5b. textbench litmus-sweep      — two seconds of the text-in
-#                                     benchmark on seed 1: every verdict is
-#                                     checked against its reference, so a
-#                                     fast-path verdict bug fails CI; the
-#                                     step fails unless the last line
-#                                     reports "correct": true
-#   6. perf_pipeline --quick --gate — the tracked perf bench (eager vs
-#                                     streaming vs pruned vs arena-backed
-#                                     enumeration+checking, thin-air
-#                                     pruning, single-test sharding,
+#   5b. textbench (3 workloads)     — two seconds each of the text-in
+#                                     benchmark's litmus-sweep (the
+#                                     arena engine), cat-sweep (the eager
+#                                     oracle under cat models) and hw-logs
+#                                     (multi-model verdicts, decide and
+#                                     the cache) on seed 1: every verdict
+#                                     is checked against its reference, so
+#                                     a fast-path verdict bug fails CI; the
+#                                     step fails unless each workload's
+#                                     last line reports "correct": true
+#   6. perf_pipeline --quick --gate — the tracked perf bench (the eager
+#                                     oracle vs the pruning arena engine,
+#                                     thin-air pruning against the engine
+#                                     without a static base, width-generic
+#                                     rows, the work-stealing scheduler vs
+#                                     a one-unit-per-worker static split,
 #                                     compiled cat models, work-stealing
 #                                     corpus split); writes
 #                                     BENCH_pr<N>.json so every PR leaves
 #                                     its own perf-trajectory data point
 #                                     (prior PRs' files are kept), and
 #                                     FAILS if a heavily-pruning IRIW/2+2W
-#                                     row drops below 5x, a heavily-
+#                                     row's arena engine drops below 5x
+#                                     over the eager oracle, a heavily-
 #                                     cyclic lb+datas row below 2x, or a
 #                                     backend query row (SC/TSO on
 #                                     iriw+3w / wrc+6w) below 10x over
@@ -100,14 +107,16 @@ run cargo test -q --workspace
 run cargo test -q --test consistency_differential
 run cargo test -q --test robustness --features fault-injection -- --test-threads=1
 run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
-echo "==> textbench --workload litmus-sweep --seed 1 --seconds 2 --trace 0"
-textbench_last=$(cargo run --release --offline --quiet --manifest-path textbench/Cargo.toml -- \
-    --workload litmus-sweep --seed 1 --seconds 2 --trace 0 | tail -n 1)
-echo "$textbench_last"
-if [[ "$textbench_last" != *'"correct": true'* ]]; then
-    echo "textbench litmus-sweep: verdicts or exact counts are not correct" >&2
-    exit 1
-fi
+for workload in litmus-sweep cat-sweep hw-logs; do
+    echo "==> textbench --workload $workload --seed 1 --seconds 2 --trace 0"
+    textbench_last=$(cargo run --release --offline --quiet --manifest-path textbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$textbench_last"
+    if [[ "$textbench_last" != *'"correct": true'* ]]; then
+        echo "textbench $workload: verdicts or exact counts are not correct" >&2
+        exit 1
+    fi
+done
 run cargo bench -p herd-bench --bench perf_pipeline -- \
     --quick --gate --pr "$PR" --json "$PWD/BENCH_pr${PR}.json"
 run cargo bench -p herd-bench --bench perf_pipeline -- --compare --gate

@@ -1,31 +1,33 @@
-//! perf_pipeline: the enumeration→check pipeline, eager vs streaming vs
-//! pruned (paper, Sec 8.3 / Tab IX).
+//! perf_pipeline: the enumeration→check pipeline, the eager oracle vs the
+//! pruning arena engine (paper, Sec 8.3 / Tab IX).
 //!
-//! Measures the generations of the hottest path in the repo:
+//! Measures the hottest path in the repo:
 //!
-//! * **eager** — the seed's generate-then-filter: materialise every
-//!   candidate (per-location permutation tables, deep-cloned po/deps/
-//!   fences), then check each against the model;
-//! * **stream** — lazy odometer enumeration sharing one `Arc`'d core;
-//! * **pruned** — streaming with SC-PER-LOCATION subtrees skipped at
-//!   generation time (uniproc-first pruning, Sec 8.3);
+//! * **pipeline** — the eager reference oracle (`Skeleton::candidates`:
+//!   materialise every candidate, then check each against the model)
+//!   against the arena engine (`Skeleton::check_stream_arena`: uniproc and
+//!   thin-air subtrees skipped at generation time, survivors checked in
+//!   place). The owned streaming and pruned-stream columns of earlier
+//!   files (`stream_ns`, `pruned_ns`) are no longer measured; their
+//!   history stays in those `BENCH_pr*.json` files;
 //! * **thinair** — the second `-speedcheck` axis on the lb+datas family:
 //!   rf subtrees whose partial `hb` is already cyclic die before any
-//!   coherence work, on top of uniproc pruning;
+//!   coherence work. Two envelope-less Power delegates run the engine on
+//!   the same per-candidate checker: `FallbackPower` keeps Power's static
+//!   base and so prunes thin air, `UniprocPower` has none and so prunes
+//!   uniproc only;
 //! * **wide** (PR 8) — the same two pruning axes on event universes past
 //!   the old 64-event mask ceiling (`lb+68ev` at 2-word rows, `lb+132ev`
 //!   at 3-word rows): the per-location graphs must build with no
 //!   oversized fallback and thin-air must still cut below the
 //!   uniproc-only count, both on multi-word `herd_core::maskrow` rows;
-//! * **sharded** — a single test's rf×co space split over scoped threads
-//!   by rf-odometer prefix range, with exactly merged counters;
 //! * **sched** — the hierarchical work scheduler (`herd_core::sched`) on
 //!   the co-heavy `wrc+Nw` family: co-level `WorkUnit`s within single rf
-//!   configurations vs the static rf-prefix split, reporting the
-//!   load-balance speedups on ≥4 planned workers (the static split can
-//!   fill at most 2 of them on `wrc+Nw`) and measured wall-clock when
-//!   real cores exist — a 1-core "parallel" time is not reported, same
-//!   discipline as the other parallel sections.
+//!   configurations vs the static split (a one-unit-per-worker rf-range
+//!   plan), reporting the load-balance speedups on ≥4 planned workers
+//!   (the static split can fill at most 2 of them on `wrc+Nw`) and
+//!   measured wall-clock when real cores exist — a 1-core "parallel" time
+//!   is not reported, same discipline as the other parallel sections.
 //!
 //! Also measures compiled-vs-tree cat-model checking throughput on the
 //! corpus, the work-stealing corpus simulation split, (**query**) the
@@ -56,7 +58,8 @@
 //! ```
 //!
 //! `--gate` turns the regression thresholds into a hard failure: any
-//! heavily-pruning IRIW/2+2W row (pruned fraction ≥ 0.9) below 5x, or any
+//! heavily-pruning IRIW/2+2W row (pruned fraction ≥ 0.9) whose arena
+//! engine is below 5x over the eager oracle, or any
 //! heavily-thin-air row (≥ half the uniproc-kept candidates cyclic)
 //! below 2x, exits non-zero.
 
@@ -109,63 +112,75 @@ struct PipelineRow {
     emitted: u128,
     pruned: u128,
     allowed: usize,
+    /// The eager reference oracle (`Skeleton::candidates` + `check`).
     eager_ns: u128,
-    stream_ns: u128,
-    pruned_ns: u128,
     /// The arena-backed checked stream (`Skeleton::check_stream_arena`):
-    /// same pruned workload, zero allocations per candidate.
+    /// generation-time pruning, zero allocations per candidate.
     arena_ns: u128,
 }
 
 impl PipelineRow {
-    fn speedup_stream(&self) -> f64 {
-        self.eager_ns as f64 / self.stream_ns.max(1) as f64
-    }
-    fn speedup_pruned(&self) -> f64 {
-        self.eager_ns as f64 / self.pruned_ns.max(1) as f64
-    }
     fn speedup_arena(&self) -> f64 {
         self.eager_ns as f64 / self.arena_ns.max(1) as f64
-    }
-    /// The arena engine against the PR 3 pruned stream — the per-PR
-    /// acceptance figure.
-    fn arena_vs_pruned(&self) -> f64 {
-        self.pruned_ns as f64 / self.arena_ns.max(1) as f64
     }
     fn pruned_fraction(&self) -> f64 {
         self.pruned as f64 / self.candidates.max(1) as f64
     }
 }
 
+/// Power without its ppo envelope, hence without a static NO THIN AIR
+/// base: the engine runs it with uniproc pruning only — the baseline the
+/// thin-air and wide rows measure the thin-air axis against. Their
+/// thin-air column runs [`FallbackPower`], which is envelope-less too but
+/// forwards Power's static base, so both columns take the same
+/// per-candidate checker (`ArenaChecker::new`, no per-combination ppo
+/// staging) and differ only in thin-air pruning.
+struct UniprocPower(Power);
+
+impl Architecture for UniprocPower {
+    fn name(&self) -> &str {
+        "Power-uniproc"
+    }
+    fn ppo(&self, x: &Execution) -> Relation {
+        self.0.ppo(x)
+    }
+    fn fences(&self, x: &Execution) -> Relation {
+        self.0.fences(x)
+    }
+    fn prop(&self, x: &Execution) -> Relation {
+        self.0.prop(x)
+    }
+    fn propagation_check(&self) -> PropagationCheck {
+        self.0.propagation_check()
+    }
+    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
+        self.0.arch_rels_arena(fx, arena)
+    }
+}
+
+/// The engine over the whole space with no budget and a no-op sink.
+fn run_arena<A: Architecture + ?Sized>(
+    sk: &Skeleton,
+    arch: &A,
+    arena: &mut RelArena,
+) -> CheckedStats {
+    sk.check_stream_arena(arch, arena, &Budget::unlimited(), &mut |_, _, _| {})
+}
+
 fn bench_pipeline(name: &str, sk: &Skeleton, reps: usize) -> PipelineRow {
     let power = Power::new();
-    let (eager_ns, eager_allowed) = best_of(reps, || {
-        sk.candidates_eager().iter().filter(|x| check(&power, x).allowed()).count()
-    });
-    let (stream_ns, stream_allowed) =
-        best_of(reps, || sk.stream().filter(|x| check(&power, x).allowed()).count());
-    let mut emitted = 0;
-    let mut pruned = 0;
-    let (pruned_ns, pruned_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned();
-        let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
-        emitted = it.emitted();
-        pruned = it.pruned();
-        allowed
-    });
-    // The arena-backed engine: same pruned semantics, candidates checked
-    // in place (no Execution materialisation, no per-candidate allocs).
+    let (eager_ns, eager_allowed) =
+        best_of(reps, || sk.candidates().iter().filter(|x| check(&power, x).allowed()).count());
+    // The arena-backed engine: candidates pruned at generation time and
+    // checked in place (no Execution materialisation, no per-candidate
+    // allocs).
     let mut arena = RelArena::new(0);
-    let (arena_ns, arena_stats) =
-        best_of(reps, || sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {}));
-    assert_eq!(eager_allowed, stream_allowed, "{name}: streaming changed the verdict");
-    assert_eq!(eager_allowed, pruned_allowed, "{name}: pruning changed the verdict");
+    let (arena_ns, arena_stats) = best_of(reps, || run_arena(sk, &power, &mut arena));
     assert_eq!(
         arena_stats.allowed, eager_allowed as u128,
         "{name}: the arena engine changed the verdict"
     );
     let candidates = sk.candidate_count().expect("bench skeletons count in u128");
-    assert_eq!(emitted + pruned, candidates, "{name}: pruning accounting is exact");
     assert_eq!(
         arena_stats.emitted + arena_stats.pruned,
         candidates,
@@ -174,12 +189,10 @@ fn bench_pipeline(name: &str, sk: &Skeleton, reps: usize) -> PipelineRow {
     PipelineRow {
         name: name.to_owned(),
         candidates,
-        emitted,
-        pruned,
+        emitted: arena_stats.emitted,
+        pruned: arena_stats.pruned,
         allowed: eager_allowed,
         eager_ns,
-        stream_ns,
-        pruned_ns,
         arena_ns,
     }
 }
@@ -211,38 +224,27 @@ impl ThinAirRow {
 }
 
 fn bench_thinair(name: &str, sk: &Skeleton, reps: usize) -> ThinAirRow {
-    let power = Power::new();
-    let mut emitted_uniproc = 0;
-    let (uniproc_ns, uniproc_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned();
-        let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
-        emitted_uniproc = it.emitted();
-        allowed
-    });
-    let mut emitted_thinair = 0;
-    let mut pruned_thinair = 0;
-    let (thinair_ns, thinair_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned_for(&power);
-        let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
-        emitted_thinair = it.emitted();
-        pruned_thinair = it.pruned();
-        allowed
-    });
-    assert_eq!(uniproc_allowed, thinair_allowed, "{name}: thin-air pruning changed the verdict");
+    let mut arena = RelArena::new(0);
+    let (uniproc_ns, uniproc) =
+        best_of(reps, || run_arena(sk, &UniprocPower(Power::new()), &mut arena));
+    let (thinair_ns, thinair) =
+        best_of(reps, || run_arena(sk, &FallbackPower(Power::new()), &mut arena));
+    assert_eq!(uniproc.allowed, thinair.allowed, "{name}: thin-air pruning changed the verdict");
     let candidates = sk.candidate_count().expect("bench skeletons count in u128");
+    assert_eq!(uniproc.emitted + uniproc.pruned, candidates, "{name}: uniproc accounting is exact");
     assert_eq!(
-        emitted_thinair + pruned_thinair,
+        thinair.emitted + thinair.pruned,
         candidates,
         "{name}: thin-air accounting is exact"
     );
-    assert!(emitted_thinair < emitted_uniproc, "{name}: thin air must actually cut deeper");
+    assert!(thinair.emitted < uniproc.emitted, "{name}: thin air must actually cut deeper");
     ThinAirRow {
         name: name.to_owned(),
         candidates,
-        emitted_uniproc,
-        emitted_thinair,
-        pruned_thinair,
-        allowed: uniproc_allowed,
+        emitted_uniproc: uniproc.emitted,
+        emitted_thinair: thinair.emitted,
+        pruned_thinair: thinair.pruned,
+        allowed: usize::try_from(thinair.allowed).expect("allowed fits usize"),
         uniproc_ns,
         thinair_ns,
     }
@@ -296,21 +298,16 @@ fn bench_wide(name: &str, sk: &Skeleton, reps: usize) -> WideRow {
         unpruned_locations
     );
     let candidates = sk.candidate_count().expect("bench skeletons count in u128");
-    let mut emitted_uniproc = 0;
-    let (uniproc_ns, _) = best_of(reps, || {
-        let mut it = sk.stream_pruned();
-        let drained = it.by_ref().count();
-        emitted_uniproc = it.emitted();
-        assert_eq!(emitted_uniproc, drained as u128, "{name}: uniproc emitted count drifts");
-        assert_eq!(emitted_uniproc + it.pruned(), candidates, "{name}: uniproc accounting");
-        drained
-    });
-    // Axis 2, thin air, through the arena engine (which arms the tracker
-    // whenever the architecture vouches for a static base — previously
-    // impossible past 64 events).
     let mut arena = RelArena::new(0);
+    let (uniproc_ns, uniproc) =
+        best_of(reps, || run_arena(sk, &UniprocPower(Power::new()), &mut arena));
+    let emitted_uniproc = uniproc.emitted;
+    assert_eq!(emitted_uniproc + uniproc.pruned, candidates, "{name}: uniproc accounting");
+    // Axis 2, thin air (the engine arms the tracker whenever the
+    // architecture vouches for a static base — previously impossible past
+    // 64 events).
     let (arena_ns, stats) =
-        best_of(reps, || sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {}));
+        best_of(reps, || run_arena(sk, &FallbackPower(Power::new()), &mut arena));
     assert_eq!(stats.emitted + stats.pruned, candidates, "{name}: arena accounting is exact");
     assert!(
         stats.emitted < emitted_uniproc,
@@ -333,68 +330,6 @@ fn bench_wide(name: &str, sk: &Skeleton, reps: usize) -> WideRow {
     }
 }
 
-struct ShardRow {
-    name: String,
-    candidates: u128,
-    workers: usize,
-    single_ns: u128,
-    /// `None` when only one worker is available: a "parallel" number
-    /// measured on one thread would be meaningless, so none is reported.
-    sharded_ns: Option<u128>,
-}
-
-impl ShardRow {
-    fn speedup(&self) -> Option<f64> {
-        self.sharded_ns.map(|ns| self.single_ns as f64 / ns.max(1) as f64)
-    }
-}
-
-fn bench_sharded(name: &str, sk: &Skeleton, reps: usize) -> ShardRow {
-    let power = Power::new();
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let candidates = sk.candidate_count().expect("bench skeletons count in u128");
-
-    let (single_ns, single_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned_for(&power);
-        let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
-        assert_eq!(it.emitted() + it.pruned(), candidates, "{name}: single-shard accounting");
-        allowed
-    });
-
-    // Run the sharded drain at least once (2 shards even on one core) to
-    // hold the exact-merge invariant; only time it when >1 worker exists.
-    let nshards = workers.max(2);
-    let drain = || {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..nshards)
-                .map(|s| {
-                    let (sk, power) = (&sk, &power);
-                    scope.spawn(move || {
-                        let mut it = sk.stream_pruned_for_shard(power, s, nshards);
-                        let allowed = it.by_ref().filter(|x| check(power, x).allowed()).count();
-                        (allowed, it.emitted(), it.pruned())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .fold((0usize, 0u128, 0u128), |(a, e, p), (a2, e2, p2)| (a + a2, e + e2, p + p2))
-        })
-    };
-    let (sharded_ns, (allowed, emitted, pruned)) = best_of(reps, drain);
-    assert_eq!(allowed, single_allowed, "{name}: sharding changed the verdict");
-    assert_eq!(emitted + pruned, candidates, "{name}: merged shard counters are exact");
-
-    ShardRow {
-        name: name.to_owned(),
-        candidates,
-        workers,
-        single_ns,
-        sharded_ns: (workers > 1).then_some(sharded_ns),
-    }
-}
-
 /// One hierarchical-scheduler row: the co-level work-stealing plan
 /// against the static rf-prefix split of the same workload.
 struct SchedRow {
@@ -407,14 +342,14 @@ struct SchedRow {
     cores: usize,
     units: usize,
     co_units: usize,
-    /// Load-balance speedup of the static rf-prefix split on
-    /// `plan_workers` workers: total checks / biggest shard.
+    /// Load-balance speedup of the static split (one rf range per worker)
+    /// on `plan_workers` workers: total checks / biggest unit.
     static_speedup: f64,
     /// Load-balance speedup of the stealing plan: total checks / LPT
     /// makespan of the per-unit check counts.
     sched_speedup: f64,
-    /// Measured wall-clock (static scoped-thread shards), `None` on one
-    /// core — a 1-thread "parallel" number is not a parallel number.
+    /// Measured wall-clock of the static split on the executor, `None` on
+    /// one core — a 1-thread "parallel" number is not a parallel number.
     static_ns: Option<u128>,
     /// Measured wall-clock of the work-stealing executor, same rule.
     sched_ns: Option<u128>,
@@ -445,34 +380,35 @@ fn null_sink(_w: usize) -> impl FnMut(&ExecFrame<'_>, &RelArena, Verdict) + Send
 
 fn bench_sched(name: &str, sk: &Skeleton, reps: usize) -> SchedRow {
     let power = Power::new();
+    let unlimited = Budget::unlimited();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     // Plan for at least 4 workers: the shape the co-heavy acceptance
     // figure is defined on; the balance numbers are analytic (exact
-    // per-shard / per-unit check counts), so they do not need 4 cores.
+    // per-unit check counts), so they do not need 4 cores.
     let plan_workers = cores.max(4);
     let candidates = sk.candidate_count().expect("bench skeletons count in u128");
+    // The static split: one contiguous rf range per worker, no co-level
+    // splitting.
+    let static_plan = |workers| {
+        WorkPlan::for_skeleton(
+            sk,
+            &power,
+            &PlanOpts { workers, units_per_worker: 1, co_split: false },
+        )
+    };
 
-    // The static rf-prefix split (the PR 4 scheme): per-shard check
-    // counts give its balance; the biggest shard is its makespan.
-    let mut arena = RelArena::new(0);
-    let mut shard_emitted = Vec::new();
-    let mut whole = CheckedStats::default();
-    for s in 0..plan_workers {
-        let st =
-            sk.check_stream_arena_shard(&power, &mut arena, s, plan_workers, &mut |_, _, _| {});
-        shard_emitted.push(st.emitted);
-        whole.emitted += st.emitted;
-        whole.pruned += st.pruned;
-        whole.allowed += st.allowed;
-    }
-    assert_eq!(whole.emitted + whole.pruned, candidates, "{name}: static shard accounting");
+    // Per-unit check counts give the static split's balance; its biggest
+    // unit is its makespan.
+    let fixed = sk.check_stream_sched(&power, &static_plan(plan_workers), 1, &unlimited, null_sink);
+    let whole = fixed.stats;
+    assert_eq!(whole.emitted + whole.pruned, candidates, "{name}: static split accounting");
 
     // The hierarchical plan: per-unit stats give the stealing balance.
     let plan = WorkPlan::for_skeleton(sk, &power, &PlanOpts::for_workers(plan_workers));
-    let out = sk.check_stream_sched(&power, &plan, cores, null_sink);
+    let out = sk.check_stream_sched(&power, &plan, cores, &unlimited, null_sink);
     assert_eq!(out.stats, whole, "{name}: the scheduler changed the workload");
 
-    let static_makespan = shard_emitted.iter().copied().max().unwrap_or(0).max(1);
+    let static_makespan = fixed.unit_stats.iter().map(|s| s.emitted).max().unwrap_or(0).max(1);
     // The stealing executor approximates LPT (largest units first, next
     // unit to the first free worker): greedy-assign the exact per-unit
     // check counts to `plan_workers` bins.
@@ -488,30 +424,13 @@ fn bench_sched(name: &str, sk: &Skeleton, reps: usize) -> SchedRow {
 
     // Measured wall-clock only with real parallelism.
     let (static_ns, sched_ns) = if cores > 1 {
+        let fixed_plan = static_plan(cores);
         let (s_ns, static_emitted) = best_of(reps, || {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cores)
-                    .map(|s| {
-                        let (sk, power) = (&sk, &power);
-                        scope.spawn(move || {
-                            let mut arena = RelArena::new(0);
-                            sk.check_stream_arena_shard(
-                                power,
-                                &mut arena,
-                                s,
-                                cores,
-                                &mut |_, _, _| {},
-                            )
-                            .emitted
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard worker panicked")).sum::<u128>()
-            })
+            sk.check_stream_sched(&power, &fixed_plan, cores, &unlimited, null_sink).stats.emitted
         });
         let run_plan = WorkPlan::for_skeleton(sk, &power, &PlanOpts::for_workers(cores));
         let (w_ns, sched_emitted) = best_of(reps, || {
-            sk.check_stream_sched(&power, &run_plan, cores, null_sink).stats.emitted
+            sk.check_stream_sched(&power, &run_plan, cores, &unlimited, null_sink).stats.emitted
         });
         assert_eq!(static_emitted, sched_emitted, "{name}: measured runs disagree");
         (Some(s_ns), Some(w_ns))
@@ -653,13 +572,11 @@ fn bench_robust(name: &str, sk: &Skeleton, reps: usize) -> RobustRow {
     let mut plain_stats = None;
     let mut budgeted_stats = None;
     for _ in 0..rounds {
-        let (ns, stats) =
-            best_of(1, || sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {}));
+        let (ns, stats) = best_of(1, || run_arena(sk, &power, &mut arena));
         plain_ns = plain_ns.min(ns);
         plain_stats = Some(stats);
-        let (ns, stats) = best_of(1, || {
-            sk.check_stream_arena_budgeted(&power, &mut arena, &budget, &mut |_, _, _| {})
-        });
+        let (ns, stats) =
+            best_of(1, || sk.check_stream_arena(&power, &mut arena, &budget, &mut |_, _, _| {}));
         budgeted_ns = budgeted_ns.min(ns);
         budgeted_stats = Some(stats);
     }
@@ -937,7 +854,9 @@ fn bench_batches(reps: usize) -> Vec<BatchRow> {
 /// declaration and ppo envelope — i.e. exactly the pre-envelope routing,
 /// where every Power query takes the enumeration fallback. Delegates
 /// every relation to the real model so the two paths answer the same
-/// question; only the saturation strategy differs.
+/// question; only the saturation strategy differs. It keeps Power's
+/// static NO THIN AIR base, so it is also the thin-air column of the
+/// thinair and wide rows, against [`UniprocPower`].
 struct FallbackPower(Power);
 
 impl Architecture for FallbackPower {
@@ -1170,7 +1089,6 @@ fn emit_json(
     pipeline: &[PipelineRow],
     thinair: &[ThinAirRow],
     wide: &[WideRow],
-    sharded: &ShardRow,
     sched: &[SchedRow],
     models: &[ModelRow],
     corpus: &CorpusRow,
@@ -1188,9 +1106,8 @@ fn emit_json(
     for (i, r) in pipeline.iter().enumerate() {
         j.push_str(&format!(
             "    {{\"name\": \"{}\", \"candidates\": {}, \"emitted\": {}, \"pruned\": {}, \
-             \"pruned_fraction\": {:.4}, \"allowed\": {}, \"eager_ns\": {}, \"stream_ns\": {}, \
-             \"pruned_ns\": {}, \"arena_ns\": {}, \"speedup_stream\": {:.2}, \
-             \"speedup_pruned\": {:.2}, \"speedup_arena\": {:.2}, \"arena_vs_pruned\": {:.2}}}{}\n",
+             \"pruned_fraction\": {:.4}, \"allowed\": {}, \"eager_ns\": {}, \"arena_ns\": {}, \
+             \"speedup_arena\": {:.2}}}{}\n",
             json_escape(&r.name),
             r.candidates,
             r.emitted,
@@ -1198,13 +1115,8 @@ fn emit_json(
             r.pruned_fraction(),
             r.allowed,
             r.eager_ns,
-            r.stream_ns,
-            r.pruned_ns,
             r.arena_ns,
-            r.speedup_stream(),
-            r.speedup_pruned(),
             r.speedup_arena(),
-            r.arena_vs_pruned(),
             if i + 1 < pipeline.len() { "," } else { "" },
         ));
     }
@@ -1256,16 +1168,6 @@ fn emit_json(
         ));
     }
     j.push_str("  ],\n");
-    j.push_str(&format!(
-        "  \"sharded\": {{\"name\": \"{}\", \"candidates\": {}, \"workers\": {}, \
-         \"single_ns\": {}, \"sharded_ns\": {}, \"speedup\": {}}},\n",
-        json_escape(&sharded.name),
-        sharded.candidates,
-        sharded.workers,
-        sharded.single_ns,
-        json_opt(sharded.sharded_ns),
-        sharded.speedup().map_or_else(|| "null".to_owned(), |s| format!("{s:.2}")),
-    ));
     j.push_str("  \"sched\": [\n");
     for (i, r) in sched.iter().enumerate() {
         j.push_str(&format!(
@@ -1576,7 +1478,7 @@ fn gate_violations(
             if let Some(ratio) = r.measured_ratio() {
                 if ratio < 1.5 {
                     bad.push(format!(
-                        "{}: measured sched wall-clock only {ratio:.2}x over static sharding on \
+                        "{}: measured sched wall-clock only {ratio:.2}x over the static split on \
                          {} cores (< 1.5x)",
                         r.name, r.cores
                     ));
@@ -1585,11 +1487,11 @@ fn gate_violations(
         }
     }
     for r in pipeline {
-        if r.pruned_fraction() >= 0.9 && r.speedup_pruned() < 5.0 {
+        if r.pruned_fraction() >= 0.9 && r.speedup_arena() < 5.0 {
             bad.push(format!(
-                "{}: speedup_pruned {:.2}x < 5x at {:.0}% pruned",
+                "{}: speedup_arena {:.2}x < 5x at {:.0}% pruned",
                 r.name,
-                r.speedup_pruned(),
+                r.speedup_arena(),
                 100.0 * r.pruned_fraction()
             ));
         }
@@ -1610,9 +1512,10 @@ fn gate_violations(
 /// One parsed `BENCH_pr<N>.json`, reduced to what `--compare` consumes.
 struct BenchFile {
     pr: u64,
-    /// Pipeline rows: `(family, pruned_ns, arena_ns)` — `arena_ns` is
-    /// absent in pre-arena files (PR ≤ 3).
-    pipeline: Vec<(String, u128, Option<u128>)>,
+    /// Pipeline rows: `(family, effective ns)` — the arena engine's
+    /// `arena_ns` when the file records one, the pre-arena pruned stream's
+    /// `pruned_ns` in files that predate the arena engine.
+    pipeline: Vec<(String, u128)>,
     /// Thin-air rows: `(family, thinair_ns)`.
     thinair: Vec<(String, u128)>,
 }
@@ -1622,10 +1525,7 @@ impl BenchFile {
     /// the file records one, the pre-arena pruned stream otherwise — the
     /// series the cross-PR regression gate runs on.
     fn effective(&self, family: &str) -> Option<u128> {
-        self.pipeline
-            .iter()
-            .find(|(n, _, _)| n == family)
-            .map(|&(_, pruned, arena)| arena.unwrap_or(pruned))
+        self.pipeline.iter().find(|(n, _)| n == family).map(|&(_, ns)| ns)
     }
 
     fn thinair_ns(&self, family: &str) -> Option<u128> {
@@ -1680,10 +1580,9 @@ fn parse_bench(path: &std::path::Path) -> Option<BenchFile> {
         }
         match section {
             Section::Pipeline => {
-                if let (Some(name), Some(pruned)) =
-                    (field_str(line, "name"), field_u128(line, "pruned_ns"))
-                {
-                    pipeline.push((name, pruned, field_u128(line, "arena_ns")));
+                let ns = field_u128(line, "arena_ns").or_else(|| field_u128(line, "pruned_ns"));
+                if let (Some(name), Some(ns)) = (field_str(line, "name"), ns) {
+                    pipeline.push((name, ns));
                 }
             }
             Section::Thinair => {
@@ -1741,7 +1640,7 @@ fn run_compare(gate: bool) {
     // Family order: first appearance across the PR series.
     let mut families: Vec<String> = Vec::new();
     for f in &files {
-        for (name, _, _) in &f.pipeline {
+        for (name, _) in &f.pipeline {
             if !families.contains(name) {
                 families.push(name.clone());
             }
@@ -1883,36 +1782,21 @@ fn main() {
     ];
 
     println!(
-        "{:<10} {:>10} {:>8} {:>7} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>9}",
-        "test",
-        "cands",
-        "pruned%",
-        "allowed",
-        "eager",
-        "stream",
-        "pruned",
-        "arena",
-        "xpruned",
-        "xarena",
-        "ar/pr"
+        "{:<10} {:>10} {:>8} {:>7} {:>12} {:>12} {:>8}",
+        "test", "cands", "pruned%", "allowed", "eager", "arena", "xarena"
     );
     let mut pipeline = Vec::new();
     for (name, sk) in &workloads {
         let row = bench_pipeline(name, sk, reps);
         println!(
-            "{:<10} {:>10} {:>7.1}% {:>7} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>7.1}x \
-             {:>7.1}x {:>8.2}x",
+            "{:<10} {:>10} {:>7.1}% {:>7} {:>10.2}ms {:>10.2}ms {:>7.1}x",
             row.name,
             row.candidates,
             100.0 * row.pruned_fraction(),
             row.allowed,
             row.eager_ns as f64 / 1e6,
-            row.stream_ns as f64 / 1e6,
-            row.pruned_ns as f64 / 1e6,
             row.arena_ns as f64 / 1e6,
-            row.speedup_pruned(),
             row.speedup_arena(),
-            row.arena_vs_pruned(),
         );
         pipeline.push(row);
     }
@@ -1975,28 +1859,10 @@ fn main() {
         wide.push(row);
     }
 
-    // Single-test sharding on the biggest pipeline workload.
-    let sharded = bench_sharded("iriw+3w", &iriw_scaled(3), reps);
-    match sharded.sharded_ns {
-        Some(ns) => println!(
-            "\nsharded {}: single {:.2}ms, {} shards {:.2}ms ({:.2}x)",
-            sharded.name,
-            sharded.single_ns as f64 / 1e6,
-            sharded.workers,
-            ns as f64 / 1e6,
-            sharded.speedup().expect("sharded_ns implies a speedup"),
-        ),
-        None => println!(
-            "\nsharded {}: single {:.2}ms; 1 worker available, no parallel number to report",
-            sharded.name,
-            sharded.single_ns as f64 / 1e6,
-        ),
-    }
-
-    // The hierarchical scheduler vs the static rf-prefix split: wrc+Nw is
-    // the co-heavy family the scheduler exists for (static sharding can
-    // fill at most 2 workers there), iriw+3w the rf-heavy control where
-    // both schemes balance.
+    // The hierarchical scheduler vs the static split: wrc+Nw is the
+    // co-heavy family the scheduler exists for (the static split can fill
+    // at most 2 workers there), iriw+3w the rf-heavy control where both
+    // schemes balance.
     let sched_rows = vec![
         bench_sched("wrc+6w", &wrc_scaled(6), reps),
         bench_sched("iriw+3w", &iriw_scaled(3), reps),
@@ -2199,7 +2065,6 @@ fn main() {
             &pipeline,
             &thinair,
             &wide,
-            &sharded,
             &sched_rows,
             &models,
             &corpus,

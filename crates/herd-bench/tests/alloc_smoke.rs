@@ -20,6 +20,7 @@ use herd_core::arch::Power;
 use herd_core::arena::RelArena;
 use herd_core::enumerate::{Skeleton, SkeletonBuilder};
 use herd_core::model::Architecture;
+use herd_core::sched::Budget;
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -39,7 +40,7 @@ fn assert_steady_state_allocates_zero(sk: &Skeleton, what: &str) {
 
     // Pre-size the observation buffer so the sink itself cannot allocate.
     let mut counts: Vec<u64> = Vec::with_capacity(4096);
-    let stats = sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {
+    let stats = sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {
         counts.push(allocation_count());
     });
     assert!(stats.emitted > 16, "{what} must stream a meaningful candidate count");
@@ -86,9 +87,14 @@ fn non_tight_corrr_steady_state_allocates_zero_per_candidate() {
         b.read(1, "x");
     }
     let sk = b.build();
-    let x = sk.stream().next().expect("a candidate");
-    let env = Power::new().ppo_envelope(x.core()).expect("Power has an envelope");
-    assert!(!env.tight(x.core()), "the skeleton must exercise the non-tight scope");
+    // The oracle's candidates allocate; keep them off the other test's
+    // measuring window.
+    let tight = {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let x = &sk.candidates()[0];
+        Power::new().ppo_envelope(x.core()).expect("Power has an envelope").tight(x.core())
+    };
+    assert!(!tight, "the skeleton must exercise the non-tight scope");
     assert_steady_state_allocates_zero(&sk, "coRRR+3w");
 }
 
@@ -102,9 +108,10 @@ fn second_pass_over_iriw_2w_allocates_nothing_in_the_arena() {
     let sk = iriw_scaled(2);
     let power = Power::new();
     let mut arena = RelArena::new(0);
-    sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
+    let unlimited = Budget::unlimited();
+    sk.check_stream_arena(&power, &mut arena, &unlimited, &mut |_, _, _| {});
     let high_water = arena.high_water_words();
-    sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
+    sk.check_stream_arena(&power, &mut arena, &unlimited, &mut |_, _, _| {});
     assert_eq!(
         arena.high_water_words(),
         high_water,

@@ -7,29 +7,23 @@
 //! location a total coherence order (`co`) with the initial write first —
 //! exactly the candidate-execution construction of Fig 3.
 //!
-//! Enumeration is *streaming*: [`Skeleton::stream`] returns a
-//! [`CandidateIter`] that walks an odometer over rf picks and in-place
-//! Heap's-algorithm coherence permutations, sharing one `Arc`'d
-//! [`ExecCore`] (po, deps, fences and the skeleton-invariant derived
-//! relations) across every candidate instead of deep-cloning per candidate.
-//! [`Skeleton::stream_pruned`] additionally checks SC PER LOCATION
-//! incrementally, location by location, as each coherence order is fixed —
-//! the uniproc-first pruning of Sec 8.3 — so entire rf×co subtrees are
-//! skipped before an [`Execution`] is ever built.
+//! The module holds one engine and one oracle:
 //!
-//! Two further `-speedcheck` axes compose via [`StreamOpts`] (or the
-//! architecture-driven [`Skeleton::stream_pruned_for`]):
-//!
-//! * **NO THIN AIR pruning** — with a sound static base from
-//!   [`crate::model::Architecture::thin_air_base`], an incremental
-//!   [`ThinAirTracker`] follows the rf odometer digit by digit and skips
-//!   every rf subtree whose partial happens-before graph is already
-//!   cyclic, before any coherence permutation is visited.
-//! * **Sharding** — the rf odometer's linear index range splits into
-//!   contiguous shards ([`StreamOpts::shard`]), so the rf×co space of a
-//!   *single* test fans out across threads; per-shard
-//!   [`CandidateIter::emitted`]/[`CandidateIter::pruned`] counters sum to
-//!   exactly [`Skeleton::candidate_count`].
+//! * **The engine** — [`Skeleton::check_stream_arena`] (and, over a
+//!   [`crate::sched::WorkPlan`], [`Skeleton::check_stream_sched`]) walks
+//!   an odometer over rf picks and per-location coherence menus and
+//!   checks every surviving candidate in place, in arena slots, against
+//!   the four axioms. The pruning axes come from the architecture, Sec
+//!   8.3's `-speedcheck`: SC PER LOCATION masks (load-load-hazard
+//!   weakened when [`Architecture::tolerates_load_load_hazards`] says so)
+//!   cut whole rf×co subtrees, and a [`ThinAirTracker`] over the static
+//!   base that [`Architecture::thin_air_base`] vouches for skips every rf
+//!   subtree whose partial happens-before graph is already cyclic.
+//!   `emitted + pruned` equals [`Skeleton::candidate_count`] exactly.
+//! * **The oracle** — [`Skeleton::candidates`] materialises every
+//!   candidate eagerly, unpruned, as owned [`Execution`]s for
+//!   [`crate::model::check`]. It is the executable specification the
+//!   engine is tested against, not a production path.
 //!
 //! Front ends whose write values depend on read values (genuine data flow
 //! through registers) perform their own symbolic enumeration and lower to
@@ -79,78 +73,6 @@ pub struct Skeleton {
 }
 
 impl Skeleton {
-    /// Streams every candidate execution of the skeleton lazily.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relations' universe does not match the event count
-    /// (a front-end bug, not an input error).
-    pub fn stream(&self) -> CandidateIter {
-        self.stream_with(StreamOpts::default())
-    }
-
-    /// Streams only the candidates satisfying SC PER LOCATION, pruning
-    /// whole rf×co subtrees at generation time (paper, Sec 8.3). The
-    /// discarded candidates — all of them uniproc-forbidden — are counted
-    /// by [`CandidateIter::pruned`].
-    pub fn stream_pruned(&self) -> CandidateIter {
-        self.stream_with(StreamOpts { uniproc: true, ..StreamOpts::default() })
-    }
-
-    /// Like [`Skeleton::stream_pruned`], but tolerating load-load hazards
-    /// (read-read `po-loc` pairs dropped), matching architectures whose SC
-    /// PER LOCATION axiom is weakened that way (ARM-llh, Sparc RMO).
-    pub fn stream_pruned_llh(&self) -> CandidateIter {
-        self.stream_with(StreamOpts { uniproc: true, llh: true, ..StreamOpts::default() })
-    }
-
-    /// Streams with every generation-time pruning axis that is sound for
-    /// `arch`: uniproc masks (load-load-hazard-weakened when the
-    /// architecture asks for it) plus incremental NO THIN AIR pruning when
-    /// [`Architecture::thin_air_base`] vouches for a static base.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch (a front-end bug).
-    pub fn stream_pruned_for<A: Architecture + ?Sized>(&self, arch: &A) -> CandidateIter {
-        self.stream_pruned_for_shard(arch, 0, 1)
-    }
-
-    /// One shard of [`Skeleton::stream_pruned_for`]: covers the
-    /// `shard`-th of `nshards` contiguous slices of the rf odometer, so a
-    /// single test's rf×co space fans out across threads. Per-shard
-    /// `emitted + pruned` counters sum to exactly
-    /// [`Skeleton::candidate_count`] over all shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch or `shard >= nshards`.
-    pub fn stream_pruned_for_shard<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        shard: usize,
-        nshards: usize,
-    ) -> CandidateIter {
-        let (parts, core) = self.parts_core();
-        let opts = StreamOpts {
-            uniproc: true,
-            llh: arch.tolerates_load_load_hazards(),
-            thin_air: arch.thin_air_base(&core),
-            shard: Some((shard, nshards)),
-        };
-        CandidateIter::new(self, parts, core, opts)
-    }
-
-    /// Streams with explicit [`StreamOpts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch or an out-of-range shard index.
-    pub fn stream_with(&self, opts: StreamOpts) -> CandidateIter {
-        let (parts, core) = self.parts_core();
-        CandidateIter::new(self, parts, core, opts)
-    }
-
     fn parts_core(&self) -> (SkeletonParts, Arc<ExecCore>) {
         let n = self.events.len();
         assert_eq!(self.po.universe(), n, "po universe mismatch");
@@ -182,52 +104,16 @@ impl Skeleton {
     /// rolled back to a checkpoint after every candidate, so the arena's
     /// footprint is the high-water mark of one candidate's working set.
     ///
+    /// A `budget` deadline, candidate bound, or cooperative cancellation
+    /// stops enumeration mid-odometer, and the returned stats report the
+    /// cut exactly — `emitted + pruned + remaining == candidate_count`,
+    /// with a [`ResumePoint`] that [`Skeleton::check_stream_arena_resume`]
+    /// can complete from. [`Budget::unlimited`] never stops.
+    ///
     /// # Panics
     ///
     /// Panics on a universe mismatch (a front-end bug).
     pub fn check_stream_arena<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        arena: &mut RelArena,
-        sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
-    ) -> CheckedStats {
-        self.check_stream_arena_shard(arch, arena, 0, 1, sink)
-    }
-
-    /// One shard of [`Skeleton::check_stream_arena`], covering the
-    /// `shard`-th of `nshards` contiguous slices of the rf odometer (the
-    /// same partition as [`Skeleton::stream_pruned_for_shard`], so
-    /// per-shard `emitted + pruned` sum to [`Skeleton::candidate_count`]).
-    /// Each worker thread owns its own [`RelArena`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch or `shard >= nshards`.
-    pub fn check_stream_arena_shard<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        arena: &mut RelArena,
-        shard: usize,
-        nshards: usize,
-        sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
-    ) -> CheckedStats {
-        let ctx = EngineCtx::new(self, arch);
-        let mut st = EngineState::new(&ctx, arch, arena);
-        let (start, end) = shard_range(RfDriver::rf_total(&ctx.parts), shard, nshards);
-        run_arena_range(&ctx, arch, arena, &mut st, start, end, None, &Budget::unlimited(), sink)
-    }
-
-    /// [`Skeleton::check_stream_arena`] under a [`Budget`]: a deadline,
-    /// candidate bound, or cooperative cancellation stops enumeration
-    /// mid-odometer, and the returned stats report the cut exactly —
-    /// `emitted + pruned + remaining == candidate_count`, with a
-    /// [`ResumePoint`] that [`Skeleton::check_stream_arena_resume`] can
-    /// complete from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch (a front-end bug).
-    pub fn check_stream_arena_budgeted<A: Architecture + ?Sized>(
         &self,
         arch: &A,
         arena: &mut RelArena,
@@ -240,7 +126,7 @@ impl Skeleton {
         run_arena_range(&ctx, arch, arena, &mut st, 0, end, None, budget, sink)
     }
 
-    /// Completes an interrupted [`Skeleton::check_stream_arena_budgeted`]
+    /// Completes an interrupted [`Skeleton::check_stream_arena`]
     /// run from its [`ResumePoint`]: first the unchecked tail of the cut
     /// configuration's coherence odometer, then every following rf
     /// configuration. The merged stats of the interrupted run and this one
@@ -290,27 +176,16 @@ impl Skeleton {
         stats
     }
 
-    /// Enumerates every candidate execution into a vector.
-    ///
-    /// Equivalent to `self.stream().collect()`; prefer [`Skeleton::stream`]
-    /// when the candidates are consumed once.
+    /// The reference oracle: every candidate execution, unpruned, as an
+    /// owned [`Execution`] — per-location permutation tables materialised
+    /// up front and `po`/`deps`/`fences` cloned into every candidate. The
+    /// executable specification the engine
+    /// ([`Skeleton::check_stream_arena`]) is tested against.
     ///
     /// # Panics
     ///
     /// Panics on a universe mismatch (a front-end bug).
     pub fn candidates(&self) -> Vec<Execution> {
-        self.stream().collect()
-    }
-
-    /// The seed's eager generate-then-filter enumeration, kept as the
-    /// baseline the streaming engine is benchmarked and property-tested
-    /// against: materialises per-location permutation tables up front and
-    /// deep-clones `po`/`deps`/`fences` into every candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch (a front-end bug).
-    pub fn candidates_eager(&self) -> Vec<Execution> {
         let n = self.events.len();
         assert_eq!(self.po.universe(), n, "po universe mismatch");
         let parts = SkeletonParts::new(self);
@@ -409,28 +284,8 @@ impl Skeleton {
     }
 }
 
-/// Options for [`Skeleton::stream_with`]: which generation-time pruning
-/// axes are active, and which rf-odometer shard to cover.
-#[derive(Clone, Debug, Default)]
-pub struct StreamOpts {
-    /// Prune SC-PER-LOCATION-violating subtrees at generation time.
-    pub uniproc: bool,
-    /// Tolerate load-load hazards in the uniproc graphs (drop RR `po-loc`
-    /// pairs) — only meaningful with `uniproc`.
-    pub llh: bool,
-    /// Static `ppo ∪ fences` underapproximation enabling incremental
-    /// NO THIN AIR pruning; must satisfy the
-    /// [`Architecture::thin_air_base`] soundness contract. The tracker's
-    /// reachability rows are width-generic, so the axis stays active at
-    /// any universe size (it used to fall back past 64 events).
-    pub thin_air: Option<Relation>,
-    /// Restrict the iterator to one contiguous shard `(index, count)` of
-    /// the rf odometer's linear index range.
-    pub shard: Option<(usize, usize)>,
-}
-
-/// Skeleton-derived tables shared by the eager and streaming paths (and,
-/// crate-internally, by the [`crate::sched`] planner).
+/// Skeleton-derived tables shared by the oracle, the engine and the
+/// [`crate::sched`] planner.
 pub(crate) struct SkeletonParts {
     pub(crate) base_events: Vec<Event>,
     pub(crate) reads: Vec<usize>,
@@ -495,10 +350,9 @@ impl SkeletonParts {
 
 /// Statistics of one arena-backed checked stream
 /// ([`Skeleton::check_stream_arena`]): `emitted + pruned + remaining`
-/// equals [`Skeleton::candidate_count`] (summed over shards) — with
-/// `remaining == 0` on an uninterrupted run, exactly as for
-/// [`CandidateIter`] — and `allowed` counts the candidates the
-/// architecture's four axioms accept.
+/// equals [`Skeleton::candidate_count`] (summed over work units) — with
+/// `remaining == 0` on an uninterrupted run — and `allowed` counts the
+/// candidates the architecture's four axioms accept.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckedStats {
     /// Candidates materialised as frames and checked.
@@ -521,7 +375,7 @@ pub struct CheckedStats {
 }
 
 impl CheckedStats {
-    /// Merges another shard's / unit's stats into `self`: counters add
+    /// Merges another unit's stats into `self`: counters add
     /// (saturating, matching the engine's u128 accounting), `stopped`
     /// keeps the first reason seen, and `resume` keeps the first cut
     /// point (meaningful only when the parts are consecutive).
@@ -821,19 +675,9 @@ pub fn build_co(co: &mut Relation, init: Option<usize>, order: &[usize]) {
     }
 }
 
-/// Per-location coherence enumeration state of one rf configuration.
-enum CoState {
-    /// In-place Heap's-algorithm generators, one per location (no pruning).
-    Lazy(Vec<HeapPerm>),
-    /// Uniproc-valid orders per location, filtered once per rf config,
-    /// with the odometer radices precomputed.
-    Menu { menus: Vec<Vec<Vec<usize>>>, pick: Vec<usize>, radices: Vec<usize> },
-}
-
-/// The rf-odometer state machine shared by [`CandidateIter`] (the owned,
-/// `Execution`-materialising stream), the arena-backed checked stream
-/// ([`Skeleton::check_stream_arena`]) and the [`crate::sched`] work
-/// scheduler: linear-index range ownership (seek/resume in O(digits)),
+/// The rf-odometer state machine of the engine
+/// ([`Skeleton::check_stream_arena`] and every [`crate::sched::WorkUnit`]
+/// it runs): linear-index range ownership (seek/resume in O(digits)),
 /// mixed-radix digit decoding, thin-air subtree skipping and the pruned
 /// accounting.
 pub(crate) struct RfDriver {
@@ -859,15 +703,6 @@ impl RfDriver {
     /// linear index space [`RfDriver::new_range`] addresses.
     pub(crate) fn rf_total(parts: &SkeletonParts) -> u128 {
         parts.rf_choices.iter().map(|c| c.len() as u128).fold(1u128, u128::saturating_mul)
-    }
-
-    pub(crate) fn new(
-        parts: &SkeletonParts,
-        thin_air: Option<&Relation>,
-        shard: (usize, usize),
-    ) -> Self {
-        let (pos, end) = shard_range(Self::rf_total(parts), shard.0, shard.1);
-        Self::new_range(parts, thin_air, pos, end)
     }
 
     /// A driver seeked to cover exactly the linear rf-configuration range
@@ -910,7 +745,7 @@ impl RfDriver {
         };
         if !d.done {
             d.decode_pos();
-            // A cyclic static base forbids every candidate of the shard.
+            // A cyclic static base forbids every candidate of the range.
             if d.thinair.as_ref().is_some_and(ThinAirTracker::is_base_cyclic) {
                 d.pruned = (d.end - d.pos).saturating_mul(d.co_total);
                 d.pos = d.end;
@@ -927,7 +762,7 @@ impl RfDriver {
         }
     }
 
-    /// Moves to the next rf configuration (sets `done` past the shard).
+    /// Moves to the next rf configuration (sets `done` past the range).
     fn advance_one(&mut self) {
         self.pos += 1;
         if self.pos >= self.end {
@@ -969,7 +804,7 @@ impl RfDriver {
     /// orders — is pruned in O(1) and the odometer jumps past it.
     ///
     /// Returns `true` when `pos` names a thin-air-clean configuration;
-    /// `false` when the shard is exhausted (`done` is set).
+    /// `false` when the range is exhausted (`done` is set).
     fn sync_thinair(&mut self, parts: &SkeletonParts) -> bool {
         if self.thinair.is_none() {
             return true;
@@ -1008,176 +843,6 @@ impl RfDriver {
                 continue 'retarget;
             }
             return true;
-        }
-    }
-}
-
-/// A lazy, pruning iterator over the candidate executions of a skeleton.
-///
-/// Created by [`Skeleton::stream`] / [`Skeleton::stream_pruned`] /
-/// [`Skeleton::stream_pruned_for`]. All yielded executions share one
-/// [`ExecCore`] via `Arc`; [`pruned`] (and [`emitted`]) expose the
-/// generation-time pruning statistics, with
-/// `emitted + pruned == candidate_count()` once exhausted (summed over
-/// all shards when sharded).
-///
-/// [`pruned`]: CandidateIter::pruned
-/// [`emitted`]: CandidateIter::emitted
-pub struct CandidateIter {
-    core: Arc<ExecCore>,
-    parts: SkeletonParts,
-    graphs: Option<LocGraphs>,
-    driver: RfDriver,
-
-    /// Read-from source per global event id (entries only valid for reads).
-    rf_src: Vec<usize>,
-    cur_rf: Relation,
-    co: CoState,
-    fresh_rf: bool,
-
-    emitted: u128,
-}
-
-impl CandidateIter {
-    fn new(sk: &Skeleton, parts: SkeletonParts, core: Arc<ExecCore>, opts: StreamOpts) -> Self {
-        let n = sk.events.len();
-        let graphs = if opts.uniproc {
-            let shape: Vec<EventShape> = parts
-                .base_events
-                .iter()
-                .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
-                .collect();
-            Some(LocGraphs::new(&shape, &sk.po, opts.llh))
-        } else {
-            None
-        };
-        let driver = RfDriver::new(&parts, opts.thin_air.as_ref(), opts.shard.unwrap_or((0, 1)));
-        CandidateIter {
-            core,
-            parts,
-            graphs,
-            driver,
-            rf_src: vec![0usize; n],
-            cur_rf: Relation::empty(n),
-            co: CoState::Lazy(Vec::new()),
-            fresh_rf: true,
-            emitted: 0,
-        }
-    }
-
-    /// Candidates yielded so far.
-    pub fn emitted(&self) -> u128 {
-        self.emitted
-    }
-
-    /// Candidates pruned (skipped before materialisation) so far. Always 0
-    /// for [`Skeleton::stream`].
-    pub fn pruned(&self) -> u128 {
-        self.driver.pruned
-    }
-
-    /// Prepares rf relation, sources, and the coherence state for the
-    /// current rf configuration. Returns `false` when the whole rf subtree
-    /// is pruned (some location has no uniproc-consistent order), after
-    /// accounting its `co_total` candidates as pruned.
-    fn setup_rf_config(&mut self) -> bool {
-        let n = self.parts.base_events.len();
-        self.cur_rf = Relation::empty(n);
-        for (k, &r) in self.parts.reads.iter().enumerate() {
-            let w = self.parts.rf_choices[k][self.driver.rf_pick[k]];
-            self.cur_rf.add(w, r);
-            self.rf_src[r] = w;
-        }
-        match &self.graphs {
-            None => {
-                self.co = CoState::Lazy(
-                    self.parts.loc_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
-                );
-                true
-            }
-            Some(graphs) => {
-                let menus = graphs.co_menus(&self.parts.locs, &self.parts.loc_writes, &self.rf_src);
-                let rf_ok = graphs.rf_only_consistent(&self.parts.locs, &self.rf_src);
-                let kept = menus.iter().map(|m| m.len() as u128).fold(1u128, u128::saturating_mul);
-                if !rf_ok || kept == 0 {
-                    self.driver.prune_rf_subtree();
-                    return false;
-                }
-                self.driver.add_pruned(self.driver.co_total - kept);
-                let radices: Vec<usize> = menus.iter().map(Vec::len).collect();
-                self.co = CoState::Menu { pick: vec![0; menus.len()], menus, radices };
-                true
-            }
-        }
-    }
-
-    /// Materialises the current candidate.
-    fn emit(&self) -> Execution {
-        let n = self.parts.base_events.len();
-        let mut events = self.parts.base_events.clone();
-        for (k, &r) in self.parts.reads.iter().enumerate() {
-            let w = self.parts.rf_choices[k][self.driver.rf_pick[k]];
-            events[r].val = events[w].val;
-        }
-        let mut co = Relation::empty(n);
-        match &self.co {
-            CoState::Lazy(heaps) => {
-                for (li, &init) in self.parts.loc_init.iter().enumerate() {
-                    build_co(&mut co, init, heaps[li].current());
-                }
-            }
-            CoState::Menu { menus, pick, .. } => {
-                for (li, &init) in self.parts.loc_init.iter().enumerate() {
-                    build_co(&mut co, init, &menus[li][pick[li]]);
-                }
-            }
-        }
-        Execution::with_core(events, Arc::clone(&self.core), self.cur_rf.clone(), co)
-            .expect("enumerated candidates are well-formed by construction")
-    }
-
-    /// Advances the coherence odometer; `false` on wrap-around.
-    fn advance_co(&mut self) -> bool {
-        match &mut self.co {
-            CoState::Lazy(heaps) => {
-                for h in heaps.iter_mut() {
-                    if h.advance() {
-                        return true;
-                    }
-                }
-                false
-            }
-            CoState::Menu { pick, radices, .. } => bump(pick, radices),
-        }
-    }
-}
-
-impl Iterator for CandidateIter {
-    type Item = Execution;
-
-    fn next(&mut self) -> Option<Execution> {
-        loop {
-            if self.driver.done {
-                return None;
-            }
-            if self.fresh_rf {
-                self.fresh_rf = false;
-                if !self.driver.sync_thinair(&self.parts) {
-                    continue; // shard exhausted (done set)
-                }
-                if !self.setup_rf_config() {
-                    self.driver.advance_one();
-                    self.fresh_rf = true;
-                    continue;
-                }
-            }
-            let x = self.emit();
-            self.emitted += 1;
-            if !self.advance_co() {
-                self.driver.advance_one();
-                self.fresh_rf = true;
-            }
-            return Some(x);
         }
     }
 }
@@ -1229,21 +894,6 @@ impl HeapPerm {
         self.i = 0;
         false
     }
-}
-
-/// The contiguous range of shard `shard` of `nshards` over a space of
-/// `total` linear indices — the one place the static shard arithmetic
-/// lives, shared by [`RfDriver::new`] and the checked-stream shard entry
-/// points so partitions can never drift apart.
-///
-/// # Panics
-///
-/// Panics when `shard >= nshards` or `nshards == 0`.
-pub(crate) fn shard_range(total: u128, shard: usize, nshards: usize) -> (u128, u128) {
-    assert!(nshards > 0 && shard < nshards, "shard index out of range");
-    let chunk = total.div_ceil(nshards as u128);
-    let start = chunk.saturating_mul(shard as u128).min(total);
-    (start, start.saturating_add(chunk).min(total))
 }
 
 /// `k!` in `u128`, `None` on overflow (first at `k = 35`). The previous
@@ -1442,7 +1092,6 @@ mod tests {
         let sk = mp_skeleton(false, false);
         assert_eq!(sk.candidate_count(), Some(4));
         assert_eq!(sk.candidates().len(), 4);
-        assert_eq!(sk.candidates_eager().len(), 4);
     }
 
     #[test]
@@ -1495,29 +1144,58 @@ mod tests {
         assert_eq!(sk.candidates().len(), 2);
     }
 
-    #[test]
-    fn streaming_matches_eager() {
-        let sk = mp_skeleton(true, true);
-        let key = |x: &Execution| {
-            format!(
-                "{:?}|{:?}|{:?}",
-                x.events().iter().map(|e| e.val).collect::<Vec<_>>(),
-                x.rf(),
-                x.co()
-            )
-        };
-        let mut eager: Vec<String> = sk.candidates_eager().iter().map(key).collect();
-        let mut lazy: Vec<String> = sk.stream().map(|x| key(&x)).collect();
-        eager.sort();
-        lazy.sort();
-        assert_eq!(eager, lazy);
+    /// Power's axioms with no static NO THIN AIR base (the default hook):
+    /// the engine runs it with uniproc pruning only.
+    struct NoHook(Power);
+
+    impl Architecture for NoHook {
+        fn name(&self) -> &str {
+            "no-hook"
+        }
+        fn ppo(&self, x: &Execution) -> Relation {
+            self.0.ppo(x)
+        }
+        fn fences(&self, x: &Execution) -> Relation {
+            self.0.fences(x)
+        }
+        fn prop(&self, x: &Execution) -> Relation {
+            self.0.prop(x)
+        }
     }
 
-    #[test]
-    fn streamed_candidates_share_one_core() {
-        let sk = mp_skeleton(false, false);
-        let xs: Vec<Execution> = sk.stream().collect();
-        assert!(xs.windows(2).all(|w| Arc::ptr_eq(w[0].core(), w[1].core())));
+    /// The data-flow witness of an oracle candidate.
+    fn key(x: &Execution) -> String {
+        format!("{:?}|{:?}", x.rf(), x.co())
+    }
+
+    /// Sorted witnesses of the oracle candidates satisfying `keep`.
+    fn oracle_keys(sk: &Skeleton, keep: impl Fn(&Execution) -> bool) -> Vec<String> {
+        let mut keys: Vec<String> = sk.candidates().iter().filter(|x| keep(x)).map(key).collect();
+        keys.sort();
+        keys
+    }
+
+    /// Runs the engine, checking every frame's verdict against the owned
+    /// `check` of the same candidate; returns the sorted witnesses of the
+    /// emitted and of the allowed candidates, plus the stats.
+    fn engine<A: Architecture + ?Sized>(
+        sk: &Skeleton,
+        arch: &A,
+    ) -> (Vec<String>, Vec<String>, CheckedStats) {
+        let mut arena = RelArena::new(0);
+        let (mut emitted, mut allowed) = (Vec::new(), Vec::new());
+        let stats =
+            sk.check_stream_arena(arch, &mut arena, &Budget::unlimited(), &mut |fx, a, v| {
+                let x = fx.to_execution(a);
+                assert_eq!(v, check(arch, &x), "frame verdict disagrees with the owned check");
+                if v.allowed() {
+                    allowed.push(key(&x));
+                }
+                emitted.push(key(&x));
+            });
+        emitted.sort();
+        allowed.sort();
+        (emitted, allowed, stats)
     }
 
     #[test]
@@ -1528,19 +1206,16 @@ mod tests {
         b.write(0, "x", 1);
         b.write(0, "x", 2);
         b.write(1, "x", 3);
-        let r = b.read(1, "x");
-        let _ = r;
+        b.read(1, "x");
         let sk = b.build();
-        let total = sk.candidate_count().unwrap();
-        let all: Vec<Execution> = sk.stream().collect();
-        let ok_eager = all.iter().filter(|x| sc_per_location(x)).count();
-
-        let mut it = sk.stream_pruned();
-        let kept: Vec<Execution> = it.by_ref().collect();
-        assert!(kept.iter().all(|x| sc_per_location(x)));
-        assert_eq!(kept.len(), ok_eager, "pruning keeps exactly the uniproc-consistent ones");
-        assert_eq!(it.emitted() + it.pruned(), total, "pruned + emitted == candidate_count");
-        assert!(it.pruned() > 0, "this skeleton must actually prune");
+        let (kept, _, stats) = engine(&sk, &NoHook(Power::new()));
+        assert_eq!(kept, oracle_keys(&sk, sc_per_location), "exactly the uniproc candidates");
+        assert_eq!(
+            stats.emitted + stats.pruned,
+            sk.candidate_count().unwrap(),
+            "pruned + emitted == candidate_count"
+        );
+        assert!(stats.pruned > 0, "this skeleton must actually prune");
     }
 
     /// A genuine lb+datas ring: each thread reads one location and writes
@@ -1564,143 +1239,85 @@ mod tests {
     fn thin_air_pruning_skips_the_self_justifying_subtree() {
         let sk = lb_ring(2);
         let power = Power::new();
-        let total = sk.candidate_count().unwrap();
-
-        let all: Vec<Execution> = sk.stream().collect();
-        let allowed_eager = all.iter().filter(|x| check(&power, x).allowed()).count();
-
-        let mut it = sk.stream_pruned_for(&power);
-        let kept: Vec<Execution> = it.by_ref().collect();
-        assert_eq!(it.emitted() + it.pruned(), total, "thin-air accounting is exact");
-        assert!(it.pruned() > 0, "the cyclic rf choice must be pruned at generation");
-        assert!(
-            kept.iter().all(|x| check(&power, x).no_thin_air),
-            "nothing thin-air-forbidden survives"
+        let mut arena = RelArena::new(0);
+        let stats =
+            sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, v| {
+                assert!(v.no_thin_air, "nothing thin-air-forbidden survives");
+            });
+        assert_eq!(
+            stats.emitted + stats.pruned,
+            sk.candidate_count().unwrap(),
+            "thin-air accounting is exact"
         );
-        let allowed_pruned = kept.iter().filter(|x| check(&power, x).allowed()).count();
-        assert_eq!(allowed_pruned, allowed_eager, "pruning is invisible to the model");
+        assert!(stats.pruned > 0, "the cyclic rf choice must be pruned at generation");
+        let (_, allowed, _) = engine(&sk, &power);
+        assert_eq!(
+            allowed,
+            oracle_keys(&sk, |x| check(&power, x).allowed()),
+            "pruning is invisible to the model"
+        );
     }
 
     #[test]
     fn architectures_without_a_base_never_thin_air_prune() {
-        /// Power's axioms but no static-base vouching (the default hook).
-        struct NoHook(Power);
-        impl crate::model::Architecture for NoHook {
-            fn name(&self) -> &str {
-                "no-hook"
-            }
-            fn ppo(&self, x: &Execution) -> Relation {
-                self.0.ppo(x)
-            }
-            fn fences(&self, x: &Execution) -> Relation {
-                self.0.fences(x)
-            }
-            fn prop(&self, x: &Execution) -> Relation {
-                self.0.prop(x)
-            }
-        }
         let sk = lb_ring(2);
-        let hookless: usize = sk.stream_pruned_for(&NoHook(Power::new())).count();
-        let uniproc: usize = sk.stream_pruned().count();
+        let (hookless, _, _) = engine(&sk, &NoHook(Power::new()));
+        let uniproc = oracle_keys(&sk, sc_per_location);
         assert_eq!(hookless, uniproc, "no base ⇒ uniproc-only pruning");
-        assert!(sk.stream_pruned_for(&Power::new()).count() < uniproc, "the hook does prune");
+        let (hooked, _, _) = engine(&sk, &Power::new());
+        assert!(hooked.len() < uniproc.len(), "the hook does prune");
     }
 
-    /// Contiguous rf-prefix shards must cover the stream exactly, with
-    /// merged counters matching the candidate count.
+    /// One-unit-per-worker plans — contiguous rf-range chunks, the static
+    /// split — must cover the engine's stream exactly, with merged
+    /// counters equal to the whole run's.
     #[test]
-    fn shards_partition_the_stream_exactly() {
-        let key = |x: &Execution| format!("{:?}|{:?}", x.rf(), x.co());
+    fn one_unit_per_worker_plans_partition_the_stream_exactly() {
+        use crate::sched::{PlanOpts, WorkPlan};
+        use std::sync::Mutex;
+        let power = Power::new();
         for sk in [mp_skeleton(true, true), lb_ring(3)] {
-            let power = Power::new();
-            let mut whole: Vec<String> = sk.stream_pruned_for(&power).map(|x| key(&x)).collect();
-            whole.sort();
-            for nshards in [1usize, 2, 3, 7] {
-                let mut merged = Vec::new();
-                let (mut emitted, mut pruned) = (0u128, 0u128);
-                for s in 0..nshards {
-                    let mut it = sk.stream_pruned_for_shard(&power, s, nshards);
-                    merged.extend(it.by_ref().map(|x| key(&x)));
-                    emitted += it.emitted();
-                    pruned += it.pruned();
-                }
+            let (whole, _, whole_stats) = engine(&sk, &power);
+            for workers in [1usize, 2, 3, 7] {
+                let opts = PlanOpts { workers, units_per_worker: 1, co_split: false };
+                let plan = WorkPlan::for_skeleton(&sk, &power, &opts);
+                assert_eq!(plan.co_units(), 0, "rf-range units only");
+                assert!(plan.len() <= workers);
+                let merged = Mutex::new(Vec::new());
+                let unlimited = Budget::unlimited();
+                let stats = sk
+                    .check_stream_sched(&power, &plan, 2, &unlimited, |_| {
+                        |fx: &ExecFrame<'_>, a: &RelArena, _| {
+                            let k = format!(
+                                "{:?}|{:?}",
+                                a.to_relation(fx.rels.rf),
+                                a.to_relation(fx.rels.co)
+                            );
+                            merged.lock().unwrap().push(k);
+                        }
+                    })
+                    .stats;
+                let mut merged = merged.into_inner().unwrap();
                 merged.sort();
-                assert_eq!(merged, whole, "{nshards} shards cover exactly the stream");
-                assert_eq!(
-                    emitted + pruned,
-                    sk.candidate_count().unwrap(),
-                    "merged shard counters are exact"
-                );
+                assert_eq!(merged, whole, "{workers} units cover exactly the stream");
+                assert_eq!(stats, whole_stats, "{workers} units merge exactly");
             }
         }
     }
 
-    /// The arena-backed checked stream must agree with the PR 3 engine
-    /// (owned `Execution`s + `check`) on counts *and* per-candidate
-    /// witnesses, with identical pruning accounting.
+    /// The engine against the oracle: every emitted candidate is an oracle
+    /// candidate with the owned verdict, the allowed multisets coincide,
+    /// and the accounting covers the oracle exactly.
     #[test]
-    fn arena_checked_stream_matches_owned_engine() {
-        use crate::arena::RelArena;
+    fn arena_engine_matches_the_oracle() {
         let power = Power::new();
         for sk in [mp_skeleton(true, true), lb_ring(2), lb_ring(3)] {
-            let mut it = sk.stream_pruned_for(&power);
-            let mut owned_keys: Vec<String> = Vec::new();
-            let mut owned_allowed = 0u128;
-            for x in it.by_ref() {
-                if check(&power, &x).allowed() {
-                    owned_allowed += 1;
-                }
-                owned_keys.push(format!("{:?}|{:?}", x.rf(), x.co()));
-            }
-            let (owned_emitted, owned_pruned) = (it.emitted(), it.pruned());
-
-            let mut arena = RelArena::new(0);
-            let mut keys = Vec::new();
-            let stats = sk.check_stream_arena(&power, &mut arena, &mut |fx, a, v| {
-                assert_eq!(
-                    v,
-                    check(&power, &fx.to_execution(a)),
-                    "frame verdict disagrees with the owned check"
-                );
-                keys.push(format!(
-                    "{:?}|{:?}",
-                    a.to_relation(fx.rels.rf),
-                    a.to_relation(fx.rels.co)
-                ));
-            });
-            owned_keys.sort();
-            keys.sort();
-            assert_eq!(keys, owned_keys, "same candidates in the same witness space");
-            assert_eq!(stats.emitted, owned_emitted);
-            assert_eq!(stats.pruned, owned_pruned);
-            assert_eq!(stats.allowed, owned_allowed);
-            assert_eq!(
-                stats.emitted + stats.pruned,
-                sk.candidate_count().unwrap(),
-                "arena accounting is exact"
-            );
-        }
-    }
-
-    /// Arena-engine shards partition the stream exactly, like the owned
-    /// iterator's shards.
-    #[test]
-    fn arena_shards_partition_exactly() {
-        use crate::arena::RelArena;
-        let power = Power::new();
-        let sk = lb_ring(3);
-        let mut arena = RelArena::new(0);
-        let whole = sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
-        for nshards in [2usize, 3, 5] {
-            let mut merged = CheckedStats::default();
-            for s in 0..nshards {
-                let part =
-                    sk.check_stream_arena_shard(&power, &mut arena, s, nshards, &mut |_, _, _| {});
-                merged.emitted += part.emitted;
-                merged.pruned += part.pruned;
-                merged.allowed += part.allowed;
-            }
-            assert_eq!(merged, whole, "{nshards} shards merge exactly");
+            let (emitted, allowed, stats) = engine(&sk, &power);
+            let all = oracle_keys(&sk, |_| true);
+            assert!(emitted.iter().all(|k| all.binary_search(k).is_ok()), "emitted ⊆ oracle");
+            assert_eq!(allowed, oracle_keys(&sk, |x| check(&power, x).allowed()));
+            assert_eq!(stats.allowed, allowed.len() as u128);
+            assert_eq!(stats.emitted + stats.pruned, all.len() as u128, "exact accounting");
         }
     }
 
@@ -1708,12 +1325,11 @@ mod tests {
     /// of the engine is a flat steady-state footprint.
     #[test]
     fn arena_high_water_stabilises_after_first_candidates() {
-        use crate::arena::RelArena;
         let power = Power::new();
         let sk = mp_skeleton(true, true);
         let mut arena = RelArena::new(0);
         let mut waters: Vec<usize> = Vec::new();
-        sk.check_stream_arena(&power, &mut arena, &mut |_, a, _| {
+        sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, a, _| {
             waters.push(a.high_water_words());
         });
         assert!(waters.len() > 2);

@@ -40,15 +40,15 @@
 //!
 //! # Generation-time pruning — herd's `-speedcheck` (Sec 8.3)
 //!
-//! Enumeration never materialises candidates it can already refute: two
+//! The engine never checks candidates it can already refute: two
 //! axiom-shaped cuts run *inside* the rf×co odometer, and the odometer
-//! itself shards across threads.
+//! itself splits into work units across threads.
 //!
 //! | axis | cuts on | when it fires | where |
 //! |---|---|---|---|
 //! | uniproc pruning | SC PER LOCATION | per location, once its rf sources and coherence order are fixed; whole rf×co subtrees die pre-materialisation | [`crate::uniproc::LocGraphs`] |
 //! | thin-air pruning | NO THIN AIR | per *read*, as the rf odometer picks sources: `hb = ppo ∪ fences ∪ rfe` never mentions `co`, so a static `ppo ∪ fences` base ([`crate::model::Architecture::thin_air_base`]) plus the partial rfe edges refutes entire rf subtrees before any coherence permutation | [`crate::thinair::ThinAirTracker`] |
-//! | rf-odometer sharding | — | the rf configuration index range splits into contiguous shards, one iterator per thread, per-shard `emitted`/`pruned` merging exactly to `candidate_count()` | [`crate::enumerate::StreamOpts::shard`] |
+//! | rf-range work units | — | the rf configuration index range splits into contiguous units run by the work-stealing executor, per-unit `emitted`/`pruned` merging exactly to `candidate_count()` | [`crate::sched::WorkPlan`], [`crate::sched::rf_ranges`] |
 //!
 //! Both pruning axes are *sound per architecture*: the llh hook
 //! ([`crate::model::Architecture::tolerates_load_load_hazards`]) weakens
@@ -58,9 +58,14 @@
 //! base is uniformly `static ppo ∪ thin_air_fences`; keeping the static
 //! *fence suffix* in it means the A-cumulativity pairs `rfe; fences`
 //! (Fig 18) fall out of the tracker's closure compositionally — the
-//! `rfe` prefix is the pushed edge, the suffix is already closed. Entry
-//! points: [`crate::enumerate::Skeleton::stream_pruned_for`] and the
-//! litmus driver's `stream_arch`/`stream_shard`/`simulate_sharded`.
+//! `rfe` prefix is the pushed edge, the suffix is already closed. Both
+//! axes run in the one engine, which takes them from the architecture:
+//! [`crate::enumerate::Skeleton::check_stream_arena`] (and
+//! [`crate::enumerate::Skeleton::check_stream_sched`] over a plan), and
+//! the litmus driver's `stream_arch_verdicts`/`stream_range_verdicts`
+//! under `simulate_with`/`simulate_sharded`. The unpruned reference
+//! oracle, [`crate::enumerate::Skeleton::candidates`] with
+//! [`crate::model::check`], is what the engine is tested against.
 //!
 //! # Arena scopes — incremental candidates without allocation (Sec 8.3)
 //!
@@ -190,7 +195,7 @@
 //! | budget | the load-shedding knobs of a bounded experiment — an optional deadline, emitted-candidate cap, and cooperative cancel token — checked per candidate (compare + relaxed load) and on unit/rf boundaries (the clock read) | [`crate::sched::Budget`], [`crate::sched::CancelToken`] |
 //! | stop reason | *why* a run degraded: deadline, cancellation, or candidate budget | [`crate::sched::StopReason`], [`crate::enumerate::CheckedStats::stopped`] |
 //! | partition identity | the invariant every partial result keeps: `emitted + pruned + remaining == candidate_count()`, with `remaining` recovered in O(digits) from the odometer position | [`crate::enumerate::CheckedStats::remaining`] |
-//! | resume point | the cut position a stopped run names, so a later call finishes exactly the tail the budget cut off | [`crate::enumerate::ResumePoint`], [`crate::enumerate::Skeleton::check_stream_arena_resume`] |
+//! | resume point | the cut position a budget-stopped [`crate::enumerate::Skeleton::check_stream_arena`] run names, so a later call finishes exactly the tail the budget cut off | [`crate::enumerate::ResumePoint`], [`crate::enumerate::Skeleton::check_stream_arena_resume`] |
 //! | poisoned unit | a work unit whose worker panicked: the executor catches it, repairs the worker, keeps stealing — callers salvage every other unit and measure the lost sub-range as remaining | [`crate::sched::UnitResult`], [`crate::sched::SchedOutcome`] |
 //! | fault point | a named seam of the engine (unit claim, arena checkpoint, co-menu build, candidate check) where the cfg-gated harness can deterministically inject a panic, delay, or spurious cancel, keyed by enumeration position so faults land on the same logical work whatever the worker count | [`crate::faultpoint`] |
 //!

@@ -19,8 +19,9 @@
 //! - [`model`]: the generic axioms and the [`model::Architecture`] trait.
 //! - [`ppo`]: the Power/ARM preserved-program-order fixpoint (Fig 25).
 //! - [`arch`]: the stock architectures.
-//! - [`enumerate`]: data-flow enumeration from skeletons to candidates,
-//!   streaming with generation-time pruning and rf-odometer sharding.
+//! - [`enumerate`]: data-flow enumeration from skeletons to candidates —
+//!   one engine (the arena-checked stream, pruning at generation time)
+//!   and one reference oracle (eager, unpruned `Skeleton::candidates`).
 //! - [`consistency`]: the polynomial single-execution backend — given a
 //!   fixed `rf`, saturation places one coherence order (or derives a
 //!   contradiction) instead of enumerating all of them, with a counted

@@ -273,7 +273,7 @@ impl MaskRow {
 
 /// Kahn-style elimination over single-word successor masks of at most 64
 /// nodes — the shared fast path of [`crate::arena::RelArena::is_acyclic`]
-/// and [`crate::uniproc::LocGraph::is_uniproc`] (previously two private
+/// and [`crate::uniproc::LocGraph::is_uniproc_in`] (previously two private
 /// copies that had already drifted in shape).
 ///
 /// `adj[i]` is node `i`'s successor mask; the graph is acyclic iff nodes

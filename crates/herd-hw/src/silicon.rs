@@ -114,10 +114,9 @@ impl Architecture for ArmSilicon {
     }
 
     fn tolerates_load_load_hazards(&self) -> bool {
-        // Routes both the default sc_per_location_po_loc and the driver's
-        // generation-time pruning mode (Prune::for_arch) through the
-        // erratum, so hazard candidates survive enumeration on parts that
-        // exhibit them.
+        // Routes both the default sc_per_location_po_loc and the engine's
+        // generation-time uniproc pruning through the erratum, so hazard
+        // candidates survive enumeration on parts that exhibit them.
         self.errata.load_load_hazards
     }
 }

@@ -9,13 +9,16 @@
 //! symbols are enumerated over the test's value domain) and each consistent
 //! assignment concretises into one [`herd_core::Execution`].
 //!
-//! Enumeration is *streaming*: [`stream`] pushes candidates into a sink as
-//! the odometer advances (coherence orders come from in-place
-//! Heap's-algorithm generators, and every candidate of one control-flow
-//! combination shares a single `Arc`'d [`ExecCore`]), and with
-//! [`Prune::Uniproc`] whole rf×co subtrees are skipped before an execution
-//! is materialised whenever a location's communication graph is already
-//! cyclic — herd's generate-and-prune strategy (paper, Sec 8.3).
+//! One enumerator serves two masters. [`enumerate`] is the reference
+//! oracle: every candidate, unpruned, as an owned [`Candidate`] for
+//! [`herd_core::model::check`]. The verdict streams
+//! ([`stream_arch_verdicts`], [`stream_range_verdicts`],
+//! [`stream_multi_verdicts`]) are the engine: they judge each candidate in
+//! arena slots without materialising it, and skip whole rf×co subtrees at
+//! generation time whenever a location's communication graph is already
+//! cyclic or the rf choice closes a thin-air cycle — herd's
+//! generate-and-prune strategy (paper, Sec 8.3). Every candidate of one
+//! control-flow combination shares a single `Arc`'d [`ExecCore`].
 
 use crate::expr::{self, Assignment, Equation, RVal, SymExpr, SymId};
 use crate::isa::Reg;
@@ -26,12 +29,12 @@ use herd_core::enumerate::{build_co, build_co_arena, HeapPerm};
 use herd_core::event::{Dir, Event, Fence, Loc, ThreadId, Val};
 use herd_core::exec::{Deps, ExecCore, ExecFrame, ExecRels, Execution};
 use herd_core::model::{thin_air_base_with, Architecture, ArenaChecker, RfScope, Verdict};
-use herd_core::ppo::PpoEnvelope;
 use herd_core::relation::Relation;
 use herd_core::thinair::ThinAirTracker;
-use herd_core::uniproc::{EventShape, LocGraphs};
+use herd_core::uniproc::{CoMenus, EventShape, LocGraphs};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The final value of a register, for condition checking.
@@ -158,45 +161,19 @@ impl LocTable {
     }
 }
 
-/// How streaming enumeration prunes at generation time (paper, Sec 8.3).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Prune {
-    /// Yield every candidate.
-    #[default]
-    None,
-    /// Skip candidates violating SC PER LOCATION: as soon as one
-    /// location's `po-loc ∪ com` subgraph is cyclic under the current
-    /// rf/co choice, the whole subtree is dropped unmaterialised.
-    Uniproc,
-    /// Uniproc pruning with read-read `po-loc` pairs dropped, for
-    /// architectures tolerating load-load hazards (ARM-llh, Sparc RMO).
-    UniprocLlh,
-}
-
-impl Prune {
-    /// The sound pruning mode for an architecture.
-    pub fn for_arch<A: herd_core::model::Architecture + ?Sized>(arch: &A) -> Prune {
-        if arch.tolerates_load_load_hazards() {
-            Prune::UniprocLlh
-        } else {
-            Prune::Uniproc
-        }
-    }
-}
-
 /// Statistics of one streaming enumeration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnumStats {
     /// Candidates pushed to the sink.
     pub emitted: usize,
-    /// Candidates pruned before materialisation (0 without pruning). A
+    /// Candidates pruned before materialisation (0 for [`enumerate`]). A
     /// `u128`: pruning counts subtrees it never visits, so the tally can
     /// legitimately exceed anything enumerable.
     pub pruned: u128,
     /// Locations whose event count exceeds the per-location member cap
     /// ([`herd_core::uniproc::MAX_LOC_MEMBERS`], the `u16` local-index
     /// width — far past the old 64-bit mask limit) and therefore streamed
-    /// *unpruned* despite pruning being requested (the maximum over
+    /// *unpruned* by a verdict stream (the maximum over
     /// control-flow combinations). Previously this degradation was
     /// silent, making huge tests look mysteriously slow; drivers log it.
     pub unpruned_locations: usize,
@@ -208,12 +185,6 @@ impl EnumStats {
         self.emitted as u128 + self.pruned
     }
 }
-
-/// Callback computing an architecture's static NO THIN AIR base for the
-/// core of one control-flow combination (see
-/// [`Architecture::thin_air_base`]), given the ppo envelope the verdict
-/// modes already computed for it; `None` disables thin-air pruning.
-type ThinAirHook<'a> = &'a dyn Fn(&ExecCore, Option<&PpoEnvelope>) -> Option<Relation>;
 
 /// One judged candidate of the arena-backed verdict stream: the axiom
 /// verdict plus the observables the final condition consumes — no owned
@@ -244,10 +215,11 @@ pub struct MultiVerdictCandidate<'a> {
     pub final_mem: &'a BTreeMap<String, i64>,
 }
 
-/// What the enumeration inner loop emits: owned [`Candidate`]s (the
-/// compatibility path), arena-checked [`VerdictCandidate`]s (the
-/// zero-materialisation simulation path), or [`MultiVerdictCandidate`]s
-/// (several models judged per candidate in one pass).
+/// What the enumeration inner loop emits — and so how it prunes: owned
+/// [`Candidate`]s (the unpruned oracle), arena-checked
+/// [`VerdictCandidate`]s (the zero-materialisation simulation path), or
+/// [`MultiVerdictCandidate`]s (several models judged per candidate in one
+/// pass).
 enum Emit<'a, 's> {
     Cands(&'a mut (dyn FnMut(Candidate) + 's)),
     Verdicts {
@@ -260,117 +232,22 @@ enum Emit<'a, 's> {
     },
 }
 
-/// Which rf configurations one enumeration call owns: a round-robin
-/// residue class (the PR 3 sharding, kept for its public entry points) or
-/// a contiguous range of the global configuration index — the
-/// [`herd_core::sched::WorkUnit`] granularity the work-stealing drivers
-/// hand out.
-#[derive(Clone, Copy, Debug)]
-enum CfgOwner {
-    RoundRobin { shard: u64, nshards: u64 },
-    Range { start: u128, end: u128 },
-}
-
-impl CfgOwner {
-    fn owns(&self, idx: u64) -> bool {
-        match *self {
-            CfgOwner::RoundRobin { shard, nshards } => idx % nshards == shard,
-            CfgOwner::Range { start, end } => start <= idx as u128 && (idx as u128) < end,
-        }
-    }
-
-    /// Is every configuration at or past `idx` unowned? Lets range owners
-    /// stop enumerating the moment their range is behind them.
-    fn exhausted(&self, idx: u64) -> bool {
-        match *self {
-            CfgOwner::RoundRobin { .. } => false,
-            CfgOwner::Range { end, .. } => idx as u128 >= end,
-        }
-    }
-}
-
-/// Streams the candidate executions of `test` into `sink`.
-///
-/// Candidates are materialised one at a time; with pruning, subtrees that
-/// already violate SC PER LOCATION are skipped and only counted (see
-/// [`EnumStats::pruned`]). `emitted + pruned` equals what
-/// [`enumerate`] without pruning would have produced.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the emitted-candidate
-/// bound is exceeded.
-pub fn stream(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    prune: Prune,
-    sink: &mut dyn FnMut(Candidate),
-) -> Result<EnumStats, CandidateError> {
-    stream_impl(test, opts, prune, None, EVERYTHING, &mut Emit::Cands(sink))
-}
-
-/// The ownership covering the whole configuration space.
-const EVERYTHING: CfgOwner = CfgOwner::RoundRobin { shard: 0, nshards: 1 };
-
-/// Streams with every pruning axis that is sound for `arch`: the
-/// architecture's uniproc mode ([`Prune::for_arch`]) plus generation-time
-/// NO THIN AIR pruning whenever [`Architecture::thin_air_base`] vouches
-/// for a static base — herd's full `-speedcheck` (paper, Sec 8.3).
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the emitted-candidate
-/// bound is exceeded.
-pub fn stream_arch<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    sink: &mut dyn FnMut(Candidate),
-) -> Result<EnumStats, CandidateError> {
-    stream_shard(test, opts, arch, 0, 1, sink)
-}
-
-/// One shard of [`stream_arch`]: processes only the rf configurations
-/// whose global index is `shard` modulo `nshards` (round-robin, so heavy
-/// regions of the odometer spread evenly), letting callers fan a *single*
-/// test's rf×co space out across threads. Per-shard [`EnumStats`] sum to
-/// exactly the unsharded totals.
-///
-/// # Panics
-///
-/// Panics when `shard >= nshards`.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the per-shard
-/// emitted-candidate bound is exceeded.
-pub fn stream_shard<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    shard: usize,
-    nshards: usize,
-    sink: &mut dyn FnMut(Candidate),
-) -> Result<EnumStats, CandidateError> {
-    assert!(nshards > 0 && shard < nshards, "shard index out of range");
-    let hook = |core: &ExecCore, _: Option<&PpoEnvelope>| arch.thin_air_base(core);
-    stream_impl(
-        test,
-        opts,
-        Prune::for_arch(arch),
-        Some(&hook),
-        CfgOwner::RoundRobin { shard: shard as u64, nshards: nshards as u64 },
-        &mut Emit::Cands(sink),
-    )
-}
+/// The whole rf-configuration index space.
+const EVERYTHING: Range<u128> = 0..u128::MAX;
 
 /// The arena-backed verdict stream: enumerates with every pruning axis
 /// sound for `arch` *and* judges each candidate against the four axioms
 /// in place, without materialising an owned [`Execution`] — the driver
-/// behind [`crate::simulate::simulate_with`]. The caller-owned worker
-/// state (one [`RelArena`] per thread) lives inside; final registers are
-/// built once per rf configuration and final memory is overwritten in
-/// place, so the stream allocates nothing per coherence choice.
+/// behind [`crate::simulate::simulate_with`]. The worker state (one
+/// [`RelArena`]) lives inside; final registers are built once per rf
+/// configuration and final memory is overwritten in place, so the stream
+/// allocates nothing per coherence choice.
+///
+/// Pruning: SC PER LOCATION masks (read-read `po-loc` pairs dropped when
+/// [`Architecture::tolerates_load_load_hazards`]) and generation-time NO
+/// THIN AIR from the architecture's static base
+/// ([`Architecture::thin_air_base`]) — herd's full `-speedcheck` (paper,
+/// Sec 8.3).
 ///
 /// # Errors
 ///
@@ -382,45 +259,15 @@ pub fn stream_arch_verdicts<A: Architecture + ?Sized>(
     arch: &A,
     sink: &mut dyn FnMut(&VerdictCandidate<'_>),
 ) -> Result<EnumStats, CandidateError> {
-    stream_shard_verdicts(test, opts, arch, 0, 1, sink)
+    stream_range_verdicts(test, opts, arch, EVERYTHING.start, EVERYTHING.end, sink)
 }
 
-/// One shard of [`stream_arch_verdicts`] (round-robin rf-configuration
-/// ownership, like [`stream_shard`]); each worker thread owns its own
-/// arena, so shards never contend on allocation.
-///
-/// # Panics
-///
-/// Panics when `shard >= nshards`.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the per-shard
-/// emitted-candidate bound is exceeded.
-pub fn stream_shard_verdicts<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    shard: usize,
-    nshards: usize,
-    sink: &mut dyn FnMut(&VerdictCandidate<'_>),
-) -> Result<EnumStats, CandidateError> {
-    assert!(nshards > 0 && shard < nshards, "shard index out of range");
-    stream_verdicts_owned(
-        test,
-        opts,
-        arch,
-        CfgOwner::RoundRobin { shard: shard as u64, nshards: nshards as u64 },
-        sink,
-    )
-}
-
-/// The arena-backed verdict stream over one contiguous range
-/// `[start, end)` of the global rf-configuration index — the
-/// [`herd_core::sched::WorkUnit`] granularity. Per-unit [`EnumStats`] over
-/// any exact partition of `[0, count_rf_configs)` sum to the unsharded
-/// totals, so the work-stealing `simulate_sharded` keeps the same exact
-/// accounting as the sequential driver.
+/// [`stream_arch_verdicts`] over one contiguous range `[start, end)` of
+/// the global rf-configuration index — the [`herd_core::sched::WorkUnit`]
+/// granularity. Per-unit [`EnumStats`] over any exact partition of
+/// `[0, count_rf_configs)` sum to the whole-test totals, so the
+/// work-stealing `simulate_sharded` keeps the same exact accounting as the
+/// sequential driver.
 ///
 /// # Errors
 ///
@@ -434,22 +281,10 @@ pub fn stream_range_verdicts<A: Architecture + ?Sized>(
     end: u128,
     sink: &mut dyn FnMut(&VerdictCandidate<'_>),
 ) -> Result<EnumStats, CandidateError> {
-    stream_verdicts_owned(test, opts, arch, CfgOwner::Range { start, end }, sink)
-}
-
-fn stream_verdicts_owned<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    owner: CfgOwner,
-    sink: &mut dyn FnMut(&VerdictCandidate<'_>),
-) -> Result<EnumStats, CandidateError> {
-    let hook = |core: &ExecCore, env: Option<&PpoEnvelope>| thin_air_base_with(arch, core, env);
     // `&A` is itself an `Architecture` (the reference blanket impl), and
     // it is `Sized`, so `&&A` coerces to the trait object the mode holds.
     let arch_ref = &arch;
-    let mut mode = Emit::Verdicts { arch: arch_ref, sink };
-    stream_impl(test, opts, Prune::for_arch(arch), Some(&hook), owner, &mut mode)
+    stream_impl(test, opts, start..end, &mut Emit::Verdicts { arch: arch_ref, sink })
 }
 
 /// Judges every candidate against *several* models in one enumeration
@@ -476,13 +311,7 @@ pub fn stream_multi_verdicts(
     archs: &[&dyn Architecture],
     sink: &mut dyn FnMut(&MultiVerdictCandidate<'_>),
 ) -> Result<EnumStats, CandidateError> {
-    let prune = if archs.iter().any(|a| a.tolerates_load_load_hazards()) {
-        Prune::UniprocLlh
-    } else {
-        Prune::Uniproc
-    };
-    let mut mode = Emit::Multi { archs, sink };
-    stream_impl(test, opts, prune, None, EVERYTHING, &mut mode)
+    stream_impl(test, opts, EVERYTHING, &mut Emit::Multi { archs, sink })
 }
 
 /// Runs every thread symbolically and returns the per-thread control-flow
@@ -590,22 +419,22 @@ pub fn count_candidates_range(
     start: u128,
     end: u128,
 ) -> Result<u128, CandidateError> {
-    count_candidates_owned(test, opts, CfgOwner::Range { start, end })
+    count_candidates_owned(test, opts, start..end)
 }
 
 fn count_candidates_owned(
     test: &LitmusTest,
     opts: &EnumOptions,
-    owner: CfgOwner,
+    owner: Range<u128>,
 ) -> Result<u128, CandidateError> {
     let locs = LocTable::for_test(test);
     let loc_map = locs.as_map();
     let thread_paths = thread_paths(test, opts, &loc_map)?;
     let domain = value_domain(test);
     let mut total = 0u128;
-    // The same global configuration counter every streaming owner walks,
-    // so range ownership partitions the space identically here.
-    let mut cfg_idx = 0u64;
+    // The same global configuration counter every stream walks, so range
+    // ownership partitions the space identically here.
+    let mut cfg_idx = 0u128;
     let mut pick = vec![0usize; thread_paths.len()];
     'combos: loop {
         let combo: Vec<&ThreadPath> =
@@ -615,12 +444,7 @@ fn count_candidates_owned(
         let mut rf_pick = vec![0usize; parts.reads.len()];
         let rf_radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
         loop {
-            let mine = {
-                let idx = cfg_idx;
-                cfg_idx += 1;
-                owner.owns(idx)
-            };
-            if mine {
+            if owner.contains(&cfg_idx) {
                 let mut equations = parts.base_equations.clone();
                 for (k, &r) in parts.reads.iter().enumerate() {
                     let w = parts.rf_choices[k][rf_pick[k]];
@@ -644,7 +468,8 @@ fn count_candidates_owned(
                     .count() as u128;
                 total = total.saturating_add(concs.saturating_mul(parts.co_total));
             }
-            if owner.exhausted(cfg_idx) {
+            cfg_idx += 1;
+            if cfg_idx >= owner.end {
                 break 'combos;
             }
             if !bump(&mut rf_pick, &rf_radices) {
@@ -661,9 +486,7 @@ fn count_candidates_owned(
 fn stream_impl(
     test: &LitmusTest,
     opts: &EnumOptions,
-    prune: Prune,
-    thin_air: Option<ThinAirHook<'_>>,
-    owner: CfgOwner,
+    owner: Range<u128>,
     mode: &mut Emit<'_, '_>,
 ) -> Result<EnumStats, CandidateError> {
     let locs = LocTable::for_test(test);
@@ -679,10 +502,9 @@ fn stream_impl(
     // combination and kept across them — the bump pool converges to the
     // largest combination's working set and then never allocates.
     let mut arena = RelArena::new(0);
-    // Global rf-configuration counter, advanced identically by every
-    // owner so that round-robin and range ownership both partition the
-    // space exactly.
-    let mut cfg_idx = 0u64;
+    // Global rf-configuration counter, advanced identically by every call
+    // so that range ownership partitions the space exactly.
+    let mut cfg_idx = 0u128;
     let mut pick = vec![0usize; thread_paths.len()];
     loop {
         let combo: Vec<&ThreadPath> =
@@ -693,17 +515,15 @@ fn stream_impl(
             combo: &combo,
             domain: &domain,
             opts,
-            prune,
-            thin_air,
-            owner,
+            owner: &owner,
             cfg_idx: &mut cfg_idx,
             arena: &mut arena,
             mode,
             stats: &mut stats,
         })?;
-        // A range owner whose range is behind the global counter owns
-        // nothing further: stop instead of walking the rest of the space.
-        if owner.exhausted(cfg_idx) {
+        // A range whose end is behind the global counter owns nothing
+        // further: stop instead of walking the rest of the space.
+        if cfg_idx >= owner.end {
             break;
         }
         if !bump(&mut pick, &thread_paths.iter().map(Vec::len).collect::<Vec<_>>()) {
@@ -713,10 +533,9 @@ fn stream_impl(
     Ok(stats)
 }
 
-/// Enumerates all candidate executions of `test` into a vector.
-///
-/// Equivalent to [`stream`] with [`Prune::None`] collecting into a `Vec`;
-/// prefer streaming when candidates are consumed once.
+/// The reference oracle: every candidate execution of `test`, unpruned,
+/// as an owned [`Candidate`] — what the verdict streams are tested
+/// against.
 ///
 /// # Errors
 ///
@@ -724,7 +543,7 @@ fn stream_impl(
 /// exceeded.
 pub fn enumerate(test: &LitmusTest, opts: &EnumOptions) -> Result<Vec<Candidate>, CandidateError> {
     let mut out = Vec::new();
-    stream(test, opts, Prune::None, &mut |c| out.push(c))?;
+    stream_impl(test, opts, EVERYTHING, &mut Emit::Cands(&mut |c| out.push(c)))?;
     Ok(out)
 }
 
@@ -942,41 +761,39 @@ pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPa
 }
 
 /// Everything [`assemble`] needs for one combination of thread paths.
-struct AssembleCtx<'a, 'h, 'e, 's> {
+struct AssembleCtx<'a, 'e, 's> {
     test: &'a LitmusTest,
     locs: &'a LocTable,
     combo: &'a [&'a ThreadPath],
     domain: &'a [i64],
     opts: &'a EnumOptions,
-    prune: Prune,
-    thin_air: Option<ThinAirHook<'h>>,
-    /// Which rf configurations this call owns.
-    owner: CfgOwner,
+    /// The rf configurations this call owns.
+    owner: &'a Range<u128>,
     /// Global rf-configuration counter shared across combinations.
-    cfg_idx: &'a mut u64,
-    /// The worker's relation arena (verdict mode only touches it).
+    cfg_idx: &'a mut u128,
+    /// The worker's relation arena (only the judged modes touch it).
     arena: &'a mut RelArena,
     mode: &'a mut Emit<'e, 's>,
     stats: &'a mut EnumStats,
 }
 
+/// The per-combination state of the judged modes: arena slots, one staged
+/// checker per model, and the generation-time pruning the mode implies.
+struct Judged {
+    checkers: Vec<ArenaChecker>,
+    rels: ExecRels,
+    graphs: LocGraphs,
+    menus: CoMenus,
+    co_pick: Vec<usize>,
+    thinair: Option<ThinAirTracker>,
+    scopes: Vec<RfScope>,
+    verdicts: Vec<Verdict>,
+}
+
 /// Assembles all candidates for one combination of thread paths, pushing
 /// them into the sink as the data-flow odometer advances.
-fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
-    let AssembleCtx {
-        test,
-        locs,
-        combo,
-        domain,
-        opts,
-        prune,
-        thin_air,
-        owner,
-        cfg_idx,
-        arena,
-        mode,
-        stats,
-    } = ctx;
+fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
+    let AssembleCtx { test, locs, combo, domain, opts, owner, cfg_idx, arena, mode, stats } = ctx;
     let ComboParts {
         events,
         read_gid,
@@ -992,52 +809,50 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
     } = combo_parts(test, locs, combo);
     let n = events.len();
 
-    let graphs = match prune {
-        Prune::None => None,
-        Prune::Uniproc | Prune::UniprocLlh => {
-            let shape: Vec<EventShape> = events
-                .iter()
-                .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
-                .collect();
-            let g = LocGraphs::new(&shape, core.po(), prune == Prune::UniprocLlh);
-            // Oversized locations (past the u16 local-index cap) stream
-            // unpruned; record the degradation so drivers can tell the user.
-            stats.unpruned_locations = stats.unpruned_locations.max(g.oversized().len());
-            Some(g)
-        }
-    };
-    // Verdict modes: retune the worker arena to this combination's
-    // universe and set up the per-candidate relation slots plus each
-    // model's combination-scope checker (static fences, and the exact
-    // ppo when the envelope is tight), once per combination.
-    let mut envelope = None;
-    let vstate = match &*mode {
+    // The emit mode fixes the pruning. The oracle (`Cands`) prunes
+    // nothing. A verdict stream prunes with every axis sound for its
+    // architecture: uniproc, llh-weakened where tolerated, plus NO THIN
+    // AIR from the static base of the envelope its staged checker already
+    // computed. A multi-model stream prunes uniproc, llh-weakened as soon
+    // as any model tolerates hazards, and never thin air (the static base
+    // is per model).
+    let judged = match &*mode {
+        Emit::Cands(_) => None,
         Emit::Verdicts { arch, .. } => {
-            arena.reset(n);
-            let rels = ExecRels::alloc(arena);
             let (checker, env) = ArenaChecker::for_combination(*arch, &core);
-            envelope = env;
-            Some((vec![checker], rels))
+            let base = thin_air_base_with(*arch, &core, env.as_ref());
+            Some((vec![checker], arch.tolerates_load_load_hazards(), base))
         }
         Emit::Multi { archs, .. } => {
-            arena.reset(n);
-            let rels = ExecRels::alloc(arena);
             let checkers = archs.iter().map(|a| ArenaChecker::for_combination(a, &core).0);
-            Some((checkers.collect::<Vec<_>>(), rels))
+            let llh = archs.iter().any(|a| a.tolerates_load_load_hazards());
+            Some((checkers.collect(), llh, None))
         }
-        Emit::Cands(_) => None,
     };
-    let mut verdicts: Vec<Verdict> = Vec::new();
-    let mut scopes: Vec<RfScope> = Vec::new();
+    let mut judged = judged.map(|(checkers, llh, base)| {
+        let shape: Vec<EventShape> = events
+            .iter()
+            .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
+            .collect();
+        let graphs = LocGraphs::new(&shape, core.po(), llh);
+        // Oversized locations (past the u16 local-index cap) stream
+        // unpruned; record the degradation so drivers can tell the user.
+        stats.unpruned_locations = stats.unpruned_locations.max(graphs.oversized().len());
+        // Retune the worker arena to this combination's universe.
+        arena.reset(n);
+        Judged {
+            checkers,
+            rels: ExecRels::alloc(arena),
+            graphs,
+            menus: CoMenus::new(&co_writes),
+            co_pick: vec![0usize; co_locs.len()],
+            thinair: base.map(|b| ThinAirTracker::new(&b)),
+            scopes: Vec::new(),
+            verdicts: Vec::new(),
+        }
+    });
     let mut final_mem: BTreeMap<String, i64> =
         locs.names().iter().map(|name| (name.clone(), 0)).collect();
-
-    // NO THIN AIR pruning: the architecture's static `ppo ∪ fences` base
-    // for this combination's core (width-generic: any universe size),
-    // from the envelope above when there is one.
-    let mut thinair: Option<ThinAirTracker> = thin_air
-        .and_then(|hook| hook(&core, envelope.as_ref()))
-        .map(|base| ThinAirTracker::new(&base));
 
     let symbols: Vec<SymId> = reads.iter().map(|&r| SymId(r)).collect();
 
@@ -1045,152 +860,71 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
     let mut rf_pick = vec![0usize; reads.len()];
     let rf_radices: Vec<usize> = rf_choices.iter().map(Vec::len).collect();
     loop {
-        // Ownership: every caller advances the global counter identically
-        // and works only the configurations it owns, so round-robin
-        // shards and contiguous ranges both partition the space exactly.
-        let mine = {
-            let idx = *cfg_idx;
-            *cfg_idx += 1;
-            owner.owns(idx)
-        };
-        if !mine {
-            if owner.exhausted(*cfg_idx) {
-                break; // a range owner is done the moment it is passed
+        // Ownership: every call advances the global counter identically
+        // and works only the configurations in its range, so ranges
+        // partition the space exactly.
+        let idx = *cfg_idx;
+        *cfg_idx += 1;
+        'cfg: {
+            if !owner.contains(&idx) {
+                break 'cfg;
             }
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
+
+            // Equations for this rf choice.
+            let mut equations = base_equations.clone();
+            for (k, &r) in reads.iter().enumerate() {
+                let w = rf_choices[k][rf_pick[k]];
+                rf_src[r] = w;
+                equations.push(Equation::ReadsValue {
+                    sym: SymId(r),
+                    expr: write_value[w].clone().expect("write has a value expression"),
+                });
             }
-            continue;
-        }
 
-        // Equations for this rf choice.
-        let mut equations = base_equations.clone();
-        let mut rf = Relation::empty(n);
-        for (k, &r) in reads.iter().enumerate() {
-            let w = rf_choices[k][rf_pick[k]];
-            rf.add(w, r);
-            rf_src[r] = w;
-            equations.push(Equation::ReadsValue {
-                sym: SymId(r),
-                expr: write_value[w].clone().expect("write has a value expression"),
-            });
-        }
-
-        // Concretised event values per consistent assignment.
-        let mut concs: Vec<(Vec<Event>, BTreeMap<(u16, Reg), RegFinal>)> = Vec::new();
-        for asg in expr::solve(&symbols, &equations, domain) {
-            let mut evs = events.clone();
-            let mut ok = true;
-            for e in &mut evs {
-                if e.thread.is_none() {
-                    continue;
-                }
-                let v = match e.dir {
-                    Dir::R => asg.get(SymId(e.id)),
-                    Dir::W => write_value[e.id].as_ref().and_then(|x| x.eval(&asg)),
-                };
-                match v {
-                    Some(v) => e.val = Val(v),
-                    None => {
-                        ok = false;
-                        break;
+            // Concretised event values per consistent assignment.
+            let mut concs: Vec<(Vec<Event>, BTreeMap<(u16, Reg), RegFinal>)> = Vec::new();
+            for asg in expr::solve(&symbols, &equations, domain) {
+                let mut evs = events.clone();
+                let mut ok = true;
+                for e in &mut evs {
+                    if e.thread.is_none() {
+                        continue;
+                    }
+                    let v = match e.dir {
+                        Dir::R => asg.get(SymId(e.id)),
+                        Dir::W => write_value[e.id].as_ref().and_then(|x| x.eval(&asg)),
+                    };
+                    match v {
+                        Some(v) => e.val = Val(v),
+                        None => {
+                            ok = false;
+                            break;
+                        }
                     }
                 }
+                if ok {
+                    concs.push((evs, final_registers(test, locs, combo, &asg, &read_gid)));
+                }
             }
-            if ok {
-                concs.push((evs, final_registers(test, locs, combo, &asg, &read_gid)));
+            if concs.is_empty() {
+                break 'cfg;
             }
-        }
 
-        if concs.is_empty() {
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-            continue;
-        }
-
-        // NO THIN AIR: if the static base plus this configuration's
-        // external rf edges is already cyclic, every candidate of the
-        // configuration is forbidden by the axiom whatever its coherence
-        // orders — count them pruned and skip all co work (Sec 8.3).
-        let thin_air_doomed = thinair.as_mut().is_some_and(|t| {
-            !t.check_rf(reads.iter().enumerate().filter_map(|(k, &r)| {
-                let w = rf_choices[k][rf_pick[k]];
-                let external = match (events[w].thread, events[r].thread) {
-                    (Some(a), Some(b)) => a != b,
-                    _ => true,
+            let Some(j) = judged.as_mut() else {
+                // The oracle: every coherence order of every
+                // concretisation, unpruned, from in-place Heap's
+                // generators.
+                let Emit::Cands(sink) = &mut *mode else {
+                    unreachable!("every judged mode has judged state")
                 };
-                external.then_some((w, r))
-            }))
-        });
-        if thin_air_doomed {
-            stats.pruned += (concs.len() as u128).saturating_mul(co_total);
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-            continue;
-        }
-
-        // With pruning: filter each location's coherence orders once per
-        // rf configuration and check the locations without a co digit —
-        // an empty menu or a failed rf-only location kills the whole rf
-        // subtree before any execution is built (shared helpers in
-        // herd_core::uniproc, same logic as Skeleton::stream_pruned).
-        let menus: Option<Vec<Vec<Vec<usize>>>> =
-            graphs.as_ref().map(|g| g.co_menus(&co_locs, &co_writes, &rf_src));
-        let rf_only_ok = graphs.as_ref().is_none_or(|g| g.rf_only_consistent(&co_locs, &rf_src));
-        let co_valid: u128 = match &menus {
-            Some(menus) if rf_only_ok => {
-                menus.iter().map(|m| m.len() as u128).fold(1u128, u128::saturating_mul)
-            }
-            Some(_) => 0,
-            None => co_total,
-        };
-        stats.pruned += (concs.len() as u128).saturating_mul(co_total.saturating_sub(co_valid));
-        if co_valid == 0 {
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-            continue;
-        }
-
-        // Verdict mode: fill the arena rf slot, refresh the rf-invariant
-        // derived relations and each checker's rf scope once for the
-        // whole rf configuration, above a mark released after its last
-        // coherence choice.
-        let rf_mark = vstate.as_ref().map(|(checkers, rels)| {
-            arena.clear(rels.rf);
-            for (k, &r) in reads.iter().enumerate() {
-                arena.add(rels.rf, rf_choices[k][rf_pick[k]], r);
-            }
-            rels.derive_rf(&core, arena);
-            let m = arena.mark();
-            let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
-            scopes.clear();
-            scopes.extend(checkers.iter().map(|ck| ck.rf_scope(&fx, arena)));
-            m
-        });
-
-        let menu_radices: Vec<usize> =
-            menus.as_ref().map(|m| m.iter().map(Vec::len).collect()).unwrap_or_default();
-        match &mut *mode {
-            Emit::Cands(sink) => {
+                let rf = Relation::from_pairs(n, reads.iter().map(|&r| (rf_src[r], r)));
                 for (evs, final_regs) in &concs {
-                    // Coherence odometer: in-place Heap's generators
-                    // without pruning, the filtered menus with it.
-                    let mut heaps: Vec<HeapPerm> = match &menus {
-                        None => co_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
-                        Some(_) => Vec::new(),
-                    };
-                    let mut menu_pick = vec![0usize; co_locs.len()];
+                    let mut heaps: Vec<HeapPerm> =
+                        co_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect();
                     loop {
                         let mut co = Relation::empty(n);
                         for (li, &init) in co_inits.iter().enumerate() {
-                            let order: &[usize] = match &menus {
-                                None => heaps[li].current(),
-                                Some(menus) => &menus[li][menu_pick[li]],
-                            };
-                            build_co(&mut co, init, order);
+                            build_co(&mut co, init, heaps[li].current());
                         }
                         let exec =
                             Execution::with_core(evs.clone(), Arc::clone(&core), rf.clone(), co)
@@ -1208,109 +942,140 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
                         });
                         stats.emitted += 1;
                         if stats.emitted > opts.max_candidates {
-                            return Err(CandidateError::TooManyCandidates {
-                                bound: opts.max_candidates,
-                                emitted: stats.emitted as u128,
-                                pruned: stats.pruned,
-                            });
+                            return Err(too_many(opts, stats));
                         }
-                        let more = match &menus {
-                            None => heaps.iter_mut().any(|h| h.advance()),
-                            Some(_) => bump(&mut menu_pick, &menu_radices),
-                        };
-                        if !more {
+                        if !heaps.iter_mut().any(HeapPerm::advance) {
                             break;
                         }
                     }
                 }
-            }
-            judged @ (Emit::Verdicts { .. } | Emit::Multi { .. }) => {
-                // Coherence-major order: verdicts depend only on
-                // (rf, co), never on the value concretisation, so each
-                // model's four axioms run once per coherence choice and
-                // every assignment of the configuration reuses those
-                // verdicts — only the observables differ per
-                // concretisation.
-                let (checkers, rels) = vstate.as_ref().expect("verdict state set up");
-                let mut heaps: Vec<HeapPerm> = match &menus {
-                    None => co_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
-                    Some(_) => Vec::new(),
-                };
-                let mut menu_pick = vec![0usize; co_locs.len()];
-                loop {
-                    arena.clear(rels.co);
-                    for (li, &init) in co_inits.iter().enumerate() {
-                        let order: &[usize] = match &menus {
-                            None => heaps[li].current(),
-                            Some(menus) => &menus[li][menu_pick[li]],
-                        };
-                        build_co_arena(arena, rels.co, init, order);
-                    }
-                    rels.derive_co(&core, arena);
-                    let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
-                    verdicts.clear();
-                    match &*judged {
-                        Emit::Verdicts { arch, .. } => {
-                            verdicts.push(checkers[0].check_co(*arch, &fx, scopes[0], arena));
-                        }
-                        Emit::Multi { archs, .. } => {
-                            for ((ck, a), &scope) in checkers.iter().zip(archs.iter()).zip(&scopes)
-                            {
-                                verdicts.push(ck.check_co(a, &fx, scope, arena));
-                            }
-                        }
-                        Emit::Cands(_) => unreachable!("outer match excludes Cands"),
-                    }
-                    for (evs, final_regs) in &concs {
-                        // Every location has an initial write, so each
-                        // has exactly one co-maximal write: overwrite its
-                        // entry in place, no allocation per candidate.
-                        let co = arena.view(rels.co);
-                        for e in evs.iter().filter(|e| e.is_write() && co.row_is_empty(e.id)) {
-                            *final_mem.get_mut(locs.name(e.loc)).expect("every location keyed") =
-                                e.val.0;
-                        }
-                        match &mut *judged {
-                            Emit::Verdicts { sink, .. } => sink(&VerdictCandidate {
-                                verdict: verdicts[0],
-                                final_regs,
-                                final_mem: &final_mem,
-                            }),
-                            Emit::Multi { sink, .. } => sink(&MultiVerdictCandidate {
-                                verdicts: &verdicts,
-                                final_regs,
-                                final_mem: &final_mem,
-                            }),
-                            Emit::Cands(_) => unreachable!("outer match excludes Cands"),
-                        }
-                        stats.emitted += 1;
-                        if stats.emitted > opts.max_candidates {
-                            return Err(CandidateError::TooManyCandidates {
-                                bound: opts.max_candidates,
-                                emitted: stats.emitted as u128,
-                                pruned: stats.pruned,
-                            });
-                        }
-                    }
-                    let more = match &menus {
-                        None => heaps.iter_mut().any(|h| h.advance()),
-                        Some(_) => bump(&mut menu_pick, &menu_radices),
+                break 'cfg;
+            };
+            let Judged { checkers, rels, graphs, menus, co_pick, thinair, scopes, verdicts } = j;
+
+            // NO THIN AIR: if the static base plus this configuration's
+            // external rf edges is already cyclic, every candidate of the
+            // configuration is forbidden by the axiom whatever its
+            // coherence orders — count them pruned and skip all co work
+            // (Sec 8.3).
+            let thin_air_doomed = thinair.as_mut().is_some_and(|t| {
+                !t.check_rf(reads.iter().filter_map(|&r| {
+                    let w = rf_src[r];
+                    let external = match (events[w].thread, events[r].thread) {
+                        (Some(a), Some(b)) => a != b,
+                        _ => true,
                     };
-                    if !more {
-                        break;
+                    external.then_some((w, r))
+                }))
+            });
+            if thin_air_doomed {
+                stats.pruned += (concs.len() as u128).saturating_mul(co_total);
+                break 'cfg;
+            }
+
+            // Uniproc: filter each location's coherence orders once per rf
+            // configuration and check the locations without a co digit —
+            // an empty menu or a failed rf-only location kills the whole
+            // rf subtree before any candidate is checked (the engine's
+            // herd_core::uniproc helpers).
+            graphs.co_menus_into(&co_locs, &rf_src, menus);
+            let kept = if graphs.rf_only_consistent_pooled(&co_locs, &rf_src, menus) {
+                menus.kept()
+            } else {
+                0
+            };
+            stats.pruned += (concs.len() as u128).saturating_mul(co_total.saturating_sub(kept));
+            if kept == 0 {
+                break 'cfg;
+            }
+
+            // Fill the arena rf slot, refresh the rf-invariant derived
+            // relations and each checker's rf scope once for the whole rf
+            // configuration, above a mark released after its last
+            // coherence choice.
+            arena.clear(rels.rf);
+            for &r in &reads {
+                arena.add(rels.rf, rf_src[r], r);
+            }
+            rels.derive_rf(&core, arena);
+            let rf_mark = arena.mark();
+            let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
+            scopes.clear();
+            scopes.extend(checkers.iter().map(|ck| ck.rf_scope(&fx, arena)));
+
+            // Coherence-major order: verdicts depend only on (rf, co),
+            // never on the value concretisation, so each model's four
+            // axioms run once per coherence choice and every assignment
+            // of the configuration reuses those verdicts — only the
+            // observables differ per concretisation.
+            co_pick.fill(0);
+            loop {
+                arena.clear(rels.co);
+                for (li, &init) in co_inits.iter().enumerate() {
+                    build_co_arena(arena, rels.co, init, menus.order(li, co_pick[li]));
+                }
+                rels.derive_co(&core, arena);
+                let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
+                verdicts.clear();
+                match &*mode {
+                    Emit::Verdicts { arch, .. } => {
+                        verdicts.push(checkers[0].check_co(*arch, &fx, scopes[0], arena));
+                    }
+                    Emit::Multi { archs, .. } => {
+                        for ((ck, a), &scope) in checkers.iter().zip(archs.iter()).zip(&*scopes) {
+                            verdicts.push(ck.check_co(a, &fx, scope, arena));
+                        }
+                    }
+                    Emit::Cands(_) => unreachable!("the oracle is never judged"),
+                }
+                for (evs, final_regs) in &concs {
+                    // Every location has an initial write, so each has
+                    // exactly one co-maximal write: overwrite its entry in
+                    // place, no allocation per candidate.
+                    let co = arena.view(rels.co);
+                    for e in evs.iter().filter(|e| e.is_write() && co.row_is_empty(e.id)) {
+                        *final_mem.get_mut(locs.name(e.loc)).expect("every location keyed") =
+                            e.val.0;
+                    }
+                    match &mut *mode {
+                        Emit::Verdicts { sink, .. } => sink(&VerdictCandidate {
+                            verdict: verdicts[0],
+                            final_regs,
+                            final_mem: &final_mem,
+                        }),
+                        Emit::Multi { sink, .. } => sink(&MultiVerdictCandidate {
+                            verdicts,
+                            final_regs,
+                            final_mem: &final_mem,
+                        }),
+                        Emit::Cands(_) => unreachable!("the oracle is never judged"),
+                    }
+                    stats.emitted += 1;
+                    if stats.emitted > opts.max_candidates {
+                        return Err(too_many(opts, stats));
                     }
                 }
+                if !menus.bump(co_pick) {
+                    break;
+                }
             }
+            arena.release(rf_mark);
         }
-
-        if let Some(m) = rf_mark {
-            arena.release(m);
-        }
-        if !bump(&mut rf_pick, &rf_radices) {
+        if *cfg_idx >= owner.end || !bump(&mut rf_pick, &rf_radices) {
             break;
         }
     }
     Ok(())
+}
+
+/// The error of an enumeration past its candidate bound, carrying the
+/// progress at the interruption.
+fn too_many(opts: &EnumOptions, stats: &EnumStats) -> CandidateError {
+    CandidateError::TooManyCandidates {
+        bound: opts.max_candidates,
+        emitted: stats.emitted as u128,
+        pruned: stats.pruned,
+    }
 }
 
 fn factorial(k: usize) -> u128 {
@@ -1402,104 +1167,99 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_enumerate_and_shares_cores() {
+    fn oracle_candidates_share_one_core_per_combination() {
         let test = mp(Isa::Power, Dev::Po, Dev::Po);
-        let eager = enumerate(&test, &EnumOptions::default()).unwrap();
-        let mut streamed = Vec::new();
-        let stats =
-            stream(&test, &EnumOptions::default(), Prune::None, &mut |c| streamed.push(c)).unwrap();
-        assert_eq!(stats.emitted, eager.len());
-        assert_eq!(stats.pruned, 0);
+        let cands = enumerate(&test, &EnumOptions::default()).unwrap();
         assert!(
-            streamed.windows(2).all(|w| Arc::ptr_eq(w[0].exec.core(), w[1].exec.core())),
+            cands.windows(2).all(|w| Arc::ptr_eq(w[0].exec.core(), w[1].exec.core())),
             "one shared core per control-flow combination"
         );
     }
 
-    #[test]
-    fn pruning_drops_exactly_the_uniproc_violations() {
-        // coRR-style test: same-location reads make some rf choices
-        // violate SC PER LOCATION.
-        let test = crate::corpus::co_rr(Isa::Arm);
-        let all = enumerate(&test, &EnumOptions::default()).unwrap();
-        let coherent = all.iter().filter(|c| herd_core::model::sc_per_location(&c.exec)).count();
-        let mut kept = Vec::new();
-        let stats =
-            stream(&test, &EnumOptions::default(), Prune::Uniproc, &mut |c| kept.push(c)).unwrap();
-        assert_eq!(stats.emitted, coherent);
-        assert_eq!(stats.total(), all.len() as u128, "emitted + pruned covers everything");
-        assert!(stats.pruned > 0, "coRR must actually prune");
-        assert!(kept.iter().all(|c| herd_core::model::sc_per_location(&c.exec)));
-
-        // The llh variant keeps the load-load-hazard candidates.
-        let mut llh_kept = 0usize;
-        let llh = stream(&test, &EnumOptions::default(), Prune::UniprocLlh, &mut |_| {
-            llh_kept += 1;
+    /// A verdict stream's observables, sorted: one line per candidate.
+    fn verdict_lines<A: Architecture + ?Sized>(
+        test: &LitmusTest,
+        arch: &A,
+    ) -> (Vec<String>, EnumStats) {
+        let mut lines = Vec::new();
+        let stats = stream_arch_verdicts(test, &EnumOptions::default(), arch, &mut |vc| {
+            lines.push(format!("{:?}|{:?}|{:?}", vc.verdict, vc.final_regs, vc.final_mem));
         })
         .unwrap();
-        assert!(llh.emitted > stats.emitted, "llh tolerates hazards strict pruning drops");
+        lines.sort();
+        (lines, stats)
+    }
+
+    /// The oracle's lines for the candidates satisfying `keep`, in the
+    /// same rendering as [`verdict_lines`].
+    fn oracle_lines<A: Architecture + ?Sized>(
+        cands: &[Candidate],
+        arch: &A,
+        keep: impl Fn(&Verdict) -> bool,
+    ) -> Vec<String> {
+        let mut lines: Vec<String> = cands
+            .iter()
+            .map(|c| (herd_core::model::check(arch, &c.exec), c))
+            .filter(|(v, _)| keep(v))
+            .map(|(v, c)| format!("{v:?}|{:?}|{:?}", c.final_regs, c.final_mem))
+            .collect();
+        lines.sort();
+        lines
     }
 
     #[test]
-    fn shards_partition_the_arch_stream_exactly() {
-        use herd_core::arch::Power;
-        let test = crate::corpus::co_rr(Isa::Power);
-        let opts = EnumOptions::default();
-        let power = Power::new();
-        let mut whole = Vec::new();
-        let whole_stats = stream_arch(&test, &opts, &power, &mut |c| {
-            whole.push(format!("{:?}|{:?}", c.exec.rf(), c.exec.co()));
-        })
-        .unwrap();
-        whole.sort();
-        for nshards in [2usize, 3] {
-            let mut merged = Vec::new();
-            let mut stats = EnumStats::default();
-            for s in 0..nshards {
-                let shard_stats = stream_shard(&test, &opts, &power, s, nshards, &mut |c| {
-                    merged.push(format!("{:?}|{:?}", c.exec.rf(), c.exec.co()));
-                })
-                .unwrap();
-                stats.emitted += shard_stats.emitted;
-                stats.pruned += shard_stats.pruned;
-            }
-            merged.sort();
-            assert_eq!(merged, whole, "{nshards} shards emit exactly the stream");
-            assert_eq!(stats.emitted, whole_stats.emitted);
-            assert_eq!(stats.pruned, whole_stats.pruned, "pruned counters merge exactly");
-        }
+    fn pruning_drops_exactly_the_uniproc_violations() {
+        use herd_core::arch::{Arm, ArmVariant};
+        // coRR-style test: same-location reads make some rf choices
+        // violate SC PER LOCATION; a single writer thread leaves no
+        // happens-before cycle for thin air to cut.
+        let test = crate::corpus::co_rr(Isa::Arm);
+        let all = enumerate(&test, &EnumOptions::default()).unwrap();
+        let strict = Arm::new(ArmVariant::Proposed);
+        let (kept, stats) = verdict_lines(&test, &strict);
+        assert_eq!(kept, oracle_lines(&all, &strict, |v| v.sc_per_location));
+        assert_eq!(stats.total(), all.len() as u128, "emitted + pruned covers everything");
+        assert!(stats.pruned > 0, "coRR must actually prune");
+
+        // The llh variant keeps the load-load-hazard candidates.
+        let llh = Arm::new(ArmVariant::ProposedLlh);
+        let (llh_kept, llh_stats) = verdict_lines(&test, &llh);
+        assert_eq!(llh_kept, oracle_lines(&all, &llh, |v| v.sc_per_location));
+        assert_eq!(llh_stats.total(), all.len() as u128);
+        assert!(llh_stats.emitted > stats.emitted, "llh tolerates hazards strict pruning drops");
     }
 
     #[test]
     fn range_units_partition_the_verdict_stream_exactly() {
         use herd_core::arch::Power;
-        let test = crate::corpus::iriw(Isa::Power, Dev::Po, Dev::Po);
         let opts = EnumOptions::default();
         let power = Power::new();
-        let total = count_rf_configs(&test, &opts).unwrap();
-        assert!(total > 4, "iriw has a real rf space");
-        let mut whole_states = Vec::new();
-        let whole = stream_arch_verdicts(&test, &opts, &power, &mut |vc| {
-            whole_states.push(format!("{:?}|{:?}", vc.verdict, vc.final_mem));
-        })
-        .unwrap();
-        whole_states.sort();
-        for units in [1u128, 3, 5, total, total + 7] {
-            let ranges = herd_core::sched::rf_ranges(total, units);
-            let mut merged = EnumStats::default();
-            let mut states = Vec::new();
-            for (s, e) in ranges {
-                let part = stream_range_verdicts(&test, &opts, &power, s, e, &mut |vc| {
-                    states.push(format!("{:?}|{:?}", vc.verdict, vc.final_mem));
-                })
-                .unwrap();
-                merged.emitted += part.emitted;
-                merged.pruned += part.pruned;
+        for test in
+            [crate::corpus::iriw(Isa::Power, Dev::Po, Dev::Po), crate::corpus::co_rr(Isa::Power)]
+        {
+            let total = count_rf_configs(&test, &opts).unwrap();
+            assert!(total >= 4, "{}: a real rf space", test.name);
+            let (whole_states, whole) = verdict_lines(&test, &power);
+            for units in [1u128, 2, 3, 5, total, total + 7] {
+                let ranges = herd_core::sched::rf_ranges(total, units);
+                let mut merged = EnumStats::default();
+                let mut states = Vec::new();
+                for (s, e) in ranges {
+                    let part = stream_range_verdicts(&test, &opts, &power, s, e, &mut |vc| {
+                        states.push(format!(
+                            "{:?}|{:?}|{:?}",
+                            vc.verdict, vc.final_regs, vc.final_mem
+                        ));
+                    })
+                    .unwrap();
+                    merged.emitted += part.emitted;
+                    merged.pruned += part.pruned;
+                }
+                states.sort();
+                assert_eq!(states, whole_states, "{units} units cover exactly the stream");
+                assert_eq!(merged.emitted, whole.emitted);
+                assert_eq!(merged.pruned, whole.pruned, "pruned counters merge exactly");
             }
-            states.sort();
-            assert_eq!(states, whole_states, "{units} units cover exactly the stream");
-            assert_eq!(merged.emitted, whole.emitted);
-            assert_eq!(merged.pruned, whole.pruned, "pruned counters merge exactly");
         }
     }
 

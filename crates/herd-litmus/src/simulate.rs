@@ -2,15 +2,14 @@
 //! pruning, apply a model, evaluate the final condition (paper, Sec 8.3).
 //!
 //! [`simulate`] never materialises the candidate vector: candidates arrive
-//! one at a time from [`candidates::stream_arch`] with both `-speedcheck`
-//! axes applied at the generator — SC-PER-LOCATION-violating subtrees
-//! (forbidden by every architecture's first axiom) and, when the
+//! one at a time from [`candidates::stream_arch_verdicts`] with both
+//! `-speedcheck` axes applied at the generator — SC-PER-LOCATION-violating
+//! subtrees (forbidden by every architecture's first axiom) and, when the
 //! architecture vouches for a static base
 //! ([`Architecture::thin_air_base`]), NO-THIN-AIR-violating rf subtrees;
-//! only their counts are kept. Each surviving candidate is judged via
-//! [`herd_core::model::check_with`] on architecture relations computed
-//! once per candidate — `hb+`/`hb*` are shared by the NO THIN AIR and
-//! OBSERVATION axioms instead of being recomputed per axiom consumer.
+//! only their counts are kept. Each surviving candidate is judged in
+//! place on arena relations by the architecture's staged checker — no
+//! owned execution is built.
 //! [`simulate_sharded`] fans the rf×co space of a *single* test out over
 //! the [`herd_core::sched`] work-stealing executor (contiguous
 //! rf-configuration range units, exactly merged accounting), and

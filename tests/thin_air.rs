@@ -204,7 +204,7 @@ fn wide_tracker_inputs(
 
 fn small_candidates(sk: &Skeleton) -> Option<Vec<Execution>> {
     let count = sk.candidate_count_saturating();
-    (count >= 1 && count <= 256).then(|| sk.stream().collect())
+    (count >= 1 && count <= 256).then(|| sk.candidates())
 }
 
 proptest! {
