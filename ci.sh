@@ -81,6 +81,8 @@
 #                                     tolerance vs the previous PR's file
 #   8. cargo doc   --no-deps        — rustdoc, warnings denied
 #   9. cargo fmt   --check          — formatting (rustfmt.toml at root)
+#  10. cargo clippy --all-targets   — lints on every target of the
+#                                     workspace, warnings denied
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -122,5 +124,6 @@ run cargo bench -p herd-bench --bench perf_pipeline -- \
 run cargo bench -p herd-bench --bench perf_pipeline -- --compare --gate
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo fmt --check
+run cargo clippy --workspace --all-targets -- -D warnings
 
 echo "CI OK"

@@ -794,7 +794,7 @@ fn bench_batch(
         best_of(reps, || herd_hw::judge_log_cached(test, arch, &log, &cache).expect("warm judges"));
     assert_eq!(warm, verdicts, "{name}: a warm hit changed a verdict");
     let cs = cache.stats();
-    assert_eq!(cs.len as usize, distinct.len(), "{name}: one cache entry per distinct row");
+    assert_eq!(cs.len, distinct.len(), "{name}: one cache entry per distinct row");
     BatchRow {
         name: name.to_owned(),
         arch: arch.name().to_owned(),

@@ -6,13 +6,28 @@
 //! installing [`CountingAllocator`] as the global allocator and reading
 //! [`allocation_count`] around the hot loop. Behind the `alloc-count`
 //! feature because a counting allocator taxes every build that links it.
+//!
+//! The count is per thread: a test reads only the allocations its own
+//! thread made, so the harness's other threads (parallel tests, libtest's
+//! own bookkeeping) cannot land inside its measuring window.
 
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation events of this thread. `const`-initialised and without
+    /// a destructor, so touching it never allocates (which would recurse
+    /// into the allocator).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event on the calling thread. A thread whose
+/// locals are already torn down is not counted.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 /// The system allocator with an allocation-event counter in front.
 ///
@@ -31,12 +46,12 @@ pub struct CountingAllocator;
 // contract; the counter is a side effect with no aliasing implications.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -45,12 +60,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Allocation events since process start (monotone).
+/// Allocation events of the calling thread since it started (monotone).
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }

@@ -84,8 +84,8 @@ pub fn lb_datas_scaled(threads: usize, writes: usize) -> Skeleton {
     let mut b = SkeletonBuilder::new();
     let names: Vec<String> = (0..threads).map(|i| format!("x{i}")).collect();
     let mut reads = Vec::new();
-    for t in 0..threads {
-        reads.push(b.read(t as u16, &names[t]));
+    for (t, name) in names.iter().enumerate() {
+        reads.push(b.read(t as u16, name));
     }
     for t in 0..threads {
         for j in 0..writes {

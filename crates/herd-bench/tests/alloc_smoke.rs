@@ -9,9 +9,15 @@
 //! machinery all live in reused storage. A counting global allocator
 //! turns that claim into an assert on the `iriw+2w` family (a tight ppo
 //! envelope: ppo fixed per combination) and on a coRR skeleton (a
-//! non-tight one: ppo computed per candidate).
+//! non-tight one: ppo computed per candidate). The same holds for a cat
+//! model's [`CompiledModel::check`], whose thread-owned workspace is
+//! reused: past warm-up it allocates only the verdict it returns.
+//!
+//! The allocation counter is per thread, so the tests may run on parallel
+//! harness threads.
 //!
 //! [`RelArena`]: herd_core::arena::RelArena
+//! [`CompiledModel::check`]: herd_cat::CompiledModel::check
 #![cfg(feature = "alloc-count")]
 
 use herd_bench::alloc_count::{allocation_count, CountingAllocator};
@@ -21,20 +27,15 @@ use herd_core::arena::RelArena;
 use herd_core::enumerate::{Skeleton, SkeletonBuilder};
 use herd_core::model::Architecture;
 use herd_core::sched::Budget;
-use std::sync::Mutex;
+use herd_litmus::candidates::{enumerate, EnumOptions};
+use herd_litmus::corpus;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The counting allocator is process-global, so the two tests must not
-/// run on parallel harness threads: one test's warm-up allocations would
-/// show up in the other's per-candidate deltas.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 /// Streams `sk` under Power through the staged checker and asserts that
 /// the steady state performs no heap allocation per candidate.
 fn assert_steady_state_allocates_zero(sk: &Skeleton, what: &str) {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let power = Power::new();
     let mut arena = RelArena::new(0);
 
@@ -87,13 +88,8 @@ fn non_tight_corrr_steady_state_allocates_zero_per_candidate() {
         b.read(1, "x");
     }
     let sk = b.build();
-    // The oracle's candidates allocate; keep them off the other test's
-    // measuring window.
-    let tight = {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let x = &sk.candidates()[0];
-        Power::new().ppo_envelope(x.core()).expect("Power has an envelope").tight(x.core())
-    };
+    let x = &sk.candidates()[0];
+    let tight = Power::new().ppo_envelope(x.core()).expect("Power has an envelope").tight(x.core());
     assert!(!tight, "the skeleton must exercise the non-tight scope");
     assert_steady_state_allocates_zero(&sk, "coRRR+3w");
 }
@@ -104,7 +100,6 @@ fn non_tight_corrr_steady_state_allocates_zero_per_candidate() {
 /// all (every buffer, menu and arena slot is reused).
 #[test]
 fn second_pass_over_iriw_2w_allocates_nothing_in_the_arena() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let sk = iriw_scaled(2);
     let power = Power::new();
     let mut arena = RelArena::new(0);
@@ -117,4 +112,32 @@ fn second_pass_over_iriw_2w_allocates_nothing_in_the_arena() {
         high_water,
         "second pass grew the arena past the first pass's high-water mark"
     );
+}
+
+/// A compiled cat model checked candidate by candidate through
+/// [`herd_cat::CompiledModel::check`]: once its thread's workspace has
+/// warmed up on every candidate, a further check of any of them allocates
+/// exactly what cloning its verdict allocates, and nothing else.
+#[test]
+fn cat_check_steady_state_allocates_only_its_verdict() {
+    let model = herd_cat::stock::load(herd_cat::stock::POWER);
+    let compiled = model.compile().expect("the stock Power model compiles");
+    let mut cands = Vec::new();
+    for entry in &corpus::power_corpus() {
+        cands.extend(enumerate(&entry.test, &EnumOptions::default()).expect("enumerates"));
+    }
+    assert!(cands.len() > 16, "the check must see a meaningful candidate count");
+    for c in &cands {
+        drop(compiled.check(&c.exec));
+    }
+    for (i, c) in cands.iter().enumerate() {
+        let before = allocation_count();
+        let verdict = compiled.check(&c.exec);
+        let checked = allocation_count() - before;
+        let before = allocation_count();
+        let copy = verdict.clone();
+        let cloned = allocation_count() - before;
+        drop((verdict, copy));
+        assert_eq!(checked, cloned, "candidate #{i}: check allocated past its verdict");
+    }
 }

@@ -359,7 +359,7 @@ mod tests {
         let mut i = 0;
         while same.len() < 3 {
             let k = key(i);
-            if (k.lo() as usize) % SHARDS == 0 {
+            if (k.lo() as usize).is_multiple_of(SHARDS) {
                 same.push(k);
             }
             i += 1;

@@ -31,6 +31,7 @@ use herd_core::arena::{RelArena, RelId, RelSrc};
 use herd_core::event::{Dir, Fence};
 use herd_core::exec::Execution;
 use herd_core::relation::Relation;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A builtin relation of the candidate execution, resolved from its cat
@@ -238,13 +239,21 @@ impl CompiledModel {
 
     /// Checks one candidate execution against the compiled model.
     ///
-    /// Infallible: every name was resolved at compile time. Convenience
-    /// wrapper creating a throwaway [`CatWorkspace`]; when checking a
-    /// stream of candidates, hold one workspace and call
-    /// [`CompiledModel::check_in`] so the arena amortises to zero heap
-    /// allocations per candidate.
+    /// Infallible: every name was resolved at compile time. Runs
+    /// [`CompiledModel::check_in`] in a workspace owned by the calling
+    /// thread and reused across calls, so after warm-up a check allocates
+    /// nothing beyond the returned verdict. Should that workspace be busy
+    /// (a check re-entered from inside another on the same thread) or
+    /// already torn down (thread exit), the check runs in a fresh one.
     pub fn check(&self, exec: &Execution) -> CatVerdict {
-        self.check_in(exec, &mut CatWorkspace::new())
+        thread_local! {
+            static WORKSPACE: RefCell<CatWorkspace> = RefCell::new(CatWorkspace::new());
+        }
+        WORKSPACE
+            .try_with(|ws| ws.try_borrow_mut().ok().map(|mut ws| self.check_in(exec, &mut ws)))
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| self.check_in(exec, &mut CatWorkspace::new()))
     }
 
     /// Checks one candidate against the compiled model using a reusable

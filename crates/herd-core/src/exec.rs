@@ -389,7 +389,8 @@ impl Execution {
         if core.universe() != n {
             return Err(ExecutionError::UniverseMismatch { expected: n, found: core.universe() });
         }
-        validate_rf(&events, &rf)?;
+        let rf_inv = rf.transpose();
+        validate_rf(&events, &rf, &rf_inv)?;
         validate_co(&events, &co)?;
 
         let rfe = rf.intersect(core.external());
@@ -397,7 +398,7 @@ impl Execution {
         let coe = co.intersect(core.external());
         let coi = co.intersect(core.internal());
         // fr: r reads from w0, and w0 is co-before w1 (paper, Sec 4.1).
-        let fr = rf.transpose().seq(&co);
+        let fr = rf_inv.seq(&co);
         let fre = fr.intersect(core.external());
         let fri = fr.intersect(core.internal());
         let com = co.union(&rf).union(&fr);
@@ -806,16 +807,17 @@ fn validate_po(events: &[Event], po: &Relation) -> Result<(), ExecutionError> {
     Ok(())
 }
 
-fn validate_rf(events: &[Event], rf: &Relation) -> Result<(), ExecutionError> {
+/// Checks each `rf` edge and that every read has exactly one source;
+/// `rf_inv` is `rf`'s transpose.
+fn validate_rf(events: &[Event], rf: &Relation, rf_inv: &Relation) -> Result<(), ExecutionError> {
     for (w, r) in rf.iter_pairs() {
         let (ew, er) = (&events[w], &events[r]);
         if !ew.is_write() || !er.is_read() || ew.loc != er.loc || ew.val != er.val {
             return Err(ExecutionError::BadRfEdge { write: w, read: r });
         }
     }
-    let rft = rf.transpose();
     for e in events {
-        if e.is_read() && rft.succs(e.id).count() != 1 {
+        if e.is_read() && rf_inv.succs(e.id).count() != 1 {
             return Err(ExecutionError::MalformedRf { read: e.id });
         }
     }
@@ -836,11 +838,11 @@ fn validate_co(events: &[Event], co: &Relation) -> Result<(), ExecutionError> {
             });
         }
     }
-    if !co.is_acyclic() {
+    // Acyclicity and per-location totality both read the closure.
+    let closed = co.tclosure();
+    if !closed.is_irreflexive() {
         return Err(ExecutionError::MalformedCo { detail: "cyclic".into() });
     }
-    // Totality per location.
-    let closed = co.tclosure();
     for a in events {
         for b in events {
             if a.id < b.id && a.is_write() && b.is_write() && a.loc == b.loc {

@@ -7,6 +7,18 @@
 //! scale have well under a hundred events, so a dense row-major bit matrix
 //! makes every operator a short loop over machine words. This representation
 //! is the reason single-event axiomatic simulation is fast (paper, Sec 8.3).
+//!
+//! Operators that visit pairs (`seq`, `transpose`, `succs`, `iter_pairs`,
+//! `range`, `restrict`) walk set bits word by word with `trailing_zeros`
+//! and never test a clear bit; `tclosure` is Warshall over whole rows, with
+//! a one-word fast path for universes of at most 64 events.
+//!
+//! These owned relations are the reference oracle's representation
+//! (`herd_core::model::check`, eager candidate enumeration, cat checks of
+//! materialised executions). Their kernels are deliberately written here
+//! and share no code with the arena engine's row kernels, so the
+//! differential tests between the two compare independent
+//! implementations.
 
 use crate::set::{words_for, EventSet};
 use std::fmt;
@@ -53,7 +65,7 @@ impl Relation {
     pub fn full(n: usize) -> Self {
         let wpr = words_for(n);
         let mut bits = vec![!0u64; n * wpr];
-        if n % 64 != 0 && wpr > 0 {
+        if !n.is_multiple_of(64) && wpr > 0 {
             let tail = (1u64 << (n % 64)) - 1;
             for row in 0..n {
                 bits[row * wpr + wpr - 1] = tail;
@@ -182,18 +194,18 @@ impl Relation {
     }
 
     /// Relational composition `self; other`
-    /// (`(a, c)` iff `∃b. (a, b) ∈ self ∧ (b, c) ∈ other`).
+    /// (`(a, c)` iff `∃b. (a, b) ∈ self ∧ (b, c) ∈ other`): row `a` of the
+    /// result is the union of `other`'s rows over the set bits of `self`'s
+    /// row `a`.
     pub fn seq(&self, other: &Relation) -> Relation {
         assert_eq!(self.n, other.n, "universe mismatch");
         let mut out = Relation::empty(self.n);
+        let wpr = self.wpr;
         for a in 0..self.n {
-            let row_a = a * self.wpr;
-            for b in 0..self.n {
-                if self.bits[row_a + b / 64] >> (b % 64) & 1 == 1 {
-                    let (dst, src) = (a * self.wpr, b * self.wpr);
-                    for w in 0..self.wpr {
-                        out.bits[dst + w] |= other.bits[src + w];
-                    }
+            let dst = &mut out.bits[a * wpr..(a + 1) * wpr];
+            for b in Ones::new(&self.bits[a * wpr..(a + 1) * wpr]) {
+                for (d, s) in dst.iter_mut().zip(&other.bits[b * wpr..(b + 1) * wpr]) {
+                    *d |= s;
                 }
             }
         }
@@ -204,23 +216,45 @@ impl Relation {
     pub fn transpose(&self) -> Relation {
         let mut out = Relation::empty(self.n);
         for (a, b) in self.iter_pairs() {
-            out.add(b, a);
+            out.bits[b * self.wpr + a / 64] |= 1u64 << (a % 64);
         }
         out
     }
 
-    /// Transitive closure `r+`, by Warshall's algorithm over bitset rows.
+    /// Transitive closure `r+`, by Warshall's algorithm over bitset rows:
+    /// for each pivot `k` with a non-empty row, every row holding `k`
+    /// absorbs row `k`. One-word rows (`n ≤ 64`) take a fast path that
+    /// keeps the pivot row in a register.
     pub fn tclosure(&self) -> Relation {
         let mut c = self.clone();
-        for k in 0..self.n {
-            for i in 0..self.n {
-                if c.contains(i, k) {
-                    let (dst, src) = (i * c.wpr, k * c.wpr);
-                    if dst != src {
-                        for w in 0..c.wpr {
-                            let v = c.bits[src + w];
-                            c.bits[dst + w] |= v;
-                        }
+        let (n, wpr) = (self.n, self.wpr);
+        if wpr == 1 {
+            for k in 0..n {
+                let pivot = c.bits[k];
+                if pivot == 0 {
+                    continue;
+                }
+                let bit = 1u64 << k;
+                for row in &mut c.bits {
+                    if *row & bit != 0 {
+                        *row |= pivot;
+                    }
+                }
+            }
+            return c;
+        }
+        for k in 0..n {
+            let (kw, bit) = (k / 64, 1u64 << (k % 64));
+            let src = k * wpr;
+            if c.bits[src..src + wpr].iter().all(|&w| w == 0) {
+                continue;
+            }
+            for i in 0..n {
+                let dst = i * wpr;
+                if i != k && c.bits[dst + kw] & bit != 0 {
+                    for w in 0..wpr {
+                        let v = c.bits[src + w];
+                        c.bits[dst + w] |= v;
                     }
                 }
             }
@@ -251,7 +285,7 @@ impl Relation {
         assert_eq!(self.n, dst.universe());
         let mut out = Relation::empty(self.n);
         let dw = dst.words();
-        for a in src.iter() {
+        for a in Ones::new(src.words()) {
             let base = a * self.wpr;
             for (w, &mask) in dw.iter().enumerate() {
                 out.bits[base + w] = self.bits[base + w] & mask;
@@ -280,12 +314,13 @@ impl Relation {
         s
     }
 
-    /// Successors of `a` under the relation.
+    /// Successors of `a` under the relation, in increasing order (none
+    /// when `a` is outside the universe).
     pub fn succs(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&b| self.contains(a, b))
+        Ones::new(if a < self.n { self.row(a) } else { &[] })
     }
 
-    /// Iterates over all pairs `(a, b)` of the relation.
+    /// Iterates over all pairs `(a, b)` of the relation, row by row.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n).flat_map(move |a| self.succs(a).map(move |b| (a, b)))
     }
@@ -362,6 +397,41 @@ impl Relation {
             }
         }
         None
+    }
+}
+
+/// The set bits of a run of words, as bit indices in increasing order:
+/// each word is consumed by `trailing_zeros`, so clear bits cost nothing.
+/// Relations keep the bits past the universe of each row's last word
+/// clear, so every index yielded is inside the universe.
+struct Ones<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Bit index of bit 0 of `cur`.
+    base: usize,
+    /// The bits of the current word not yet yielded.
+    cur: u64,
+}
+
+impl<'a> Ones<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        let mut words = words.iter();
+        let cur = words.next().copied().unwrap_or(0);
+        Ones { words, base: 0, cur }
+    }
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.cur == 0 {
+            self.cur = *self.words.next()?;
+            self.base += 64;
+        }
+        let bit = self.base + self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(bit)
     }
 }
 

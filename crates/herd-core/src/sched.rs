@@ -280,7 +280,7 @@ impl WorkPlan {
             let cfgs = rf_total as usize;
             let n = parts.base_events.len();
             let radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
-            let mut tracker = ctx.thin_air.as_ref().map(|base| ThinAirTracker::new(base));
+            let mut tracker = ctx.thin_air.as_ref().map(ThinAirTracker::new);
             let mut menus = CoMenus::new(&parts.loc_writes);
             let mut rf_src = vec![0usize; n];
 
@@ -494,6 +494,9 @@ fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// One worker's state and the `(unit, result)` pairs it produced.
+type WorkerOutput<S, R> = (S, Vec<(usize, UnitResult<R>)>);
+
 /// The lock-light work-stealing executor behind every parallel entry
 /// point: `units` indices are handed out through one atomic cursor;
 /// worker `w` owns the state `init(w)` builds (arena, sinks, accumulators
@@ -549,7 +552,7 @@ where
     }
     let workers = workers.min(units);
     let next = AtomicUsize::new(0);
-    let done: Vec<(S, Vec<(usize, UnitResult<R>)>)> = std::thread::scope(|scope| {
+    let done: Vec<WorkerOutput<S, R>> = std::thread::scope(|scope| {
         let (next, init, repair, guarded) = (&next, &init, &repair, &guarded);
         let handles: Vec<_> = (0..workers)
             .map(|w| {

@@ -659,7 +659,7 @@ mod tests {
         assert_eq!(summary.reports.len() + summary.lost.len(), tests.len());
         for lost in &summary.lost {
             assert!(lost.reason.contains("retry budget"), "{}", lost.reason);
-            assert_eq!(flaky.flake(&lost.name, 0).is_some(), true, "only scheduled tests are lost");
+            assert!(flaky.flake(&lost.name, 0).is_some(), "only scheduled tests are lost");
         }
         assert!(!summary.reports.is_empty(), "unselected tests still report");
     }

@@ -46,18 +46,24 @@ pub enum RegFinal {
     Addr(String),
 }
 
+/// Final register values, per `(thread, register)`.
+pub type FinalRegs = BTreeMap<(u16, Reg), RegFinal>;
+
 /// One candidate execution plus the thread-local state needed to evaluate
 /// final conditions.
 #[derive(Clone, Debug)]
 pub struct Candidate {
     /// The execution, ready for the axioms.
     pub exec: Execution,
-    /// Final register values, per `(thread, register)`.
-    pub final_regs: BTreeMap<(u16, Reg), RegFinal>,
+    /// Final register values, per `(thread, register)`. They depend only
+    /// on the value assignment, so every coherence order of one
+    /// concretisation shares one map.
+    pub final_regs: Arc<FinalRegs>,
     /// Final memory values, by location name (the `co`-maximal writes).
     pub final_mem: BTreeMap<String, i64>,
-    /// Location names in `Loc` order (for rendering).
-    pub loc_names: Vec<String>,
+    /// Location names in `Loc` order (for rendering), shared by every
+    /// candidate of one [`enumerate`] call.
+    pub loc_names: Arc<[String]>,
 }
 
 impl Candidate {
@@ -131,13 +137,13 @@ impl Default for EnumOptions {
 /// The location table of a test: name ↔ [`Loc`] in sorted-name order.
 #[derive(Clone, Debug, Default)]
 pub struct LocTable {
-    names: Vec<String>,
+    names: Arc<[String]>,
 }
 
 impl LocTable {
     /// Builds the table for a test.
     pub fn for_test(test: &LitmusTest) -> Self {
-        LocTable { names: test.locations() }
+        LocTable { names: test.locations().into() }
     }
 
     /// The [`Loc`] of `name`.
@@ -194,7 +200,7 @@ pub struct VerdictCandidate<'a> {
     /// The four-axiom verdict of the architecture under simulation.
     pub verdict: Verdict,
     /// Final register values, per `(thread, register)`.
-    pub final_regs: &'a BTreeMap<(u16, Reg), RegFinal>,
+    pub final_regs: &'a FinalRegs,
     /// Final memory values by location name (the `co`-maximal writes).
     pub final_mem: &'a BTreeMap<String, i64>,
 }
@@ -210,7 +216,7 @@ pub struct MultiVerdictCandidate<'a> {
     /// [`stream_multi_verdicts`].
     pub verdicts: &'a [Verdict],
     /// Final register values, per `(thread, register)`.
-    pub final_regs: &'a BTreeMap<(u16, Reg), RegFinal>,
+    pub final_regs: &'a FinalRegs,
     /// Final memory values by location name (the `co`-maximal writes).
     pub final_mem: &'a BTreeMap<String, i64>,
 }
@@ -882,7 +888,7 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
             }
 
             // Concretised event values per consistent assignment.
-            let mut concs: Vec<(Vec<Event>, BTreeMap<(u16, Reg), RegFinal>)> = Vec::new();
+            let mut concs: Vec<(Vec<Event>, FinalRegs)> = Vec::new();
             for asg in expr::solve(&symbols, &equations, domain) {
                 let mut evs = events.clone();
                 let mut ok = true;
@@ -918,7 +924,8 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                     unreachable!("every judged mode has judged state")
                 };
                 let rf = Relation::from_pairs(n, reads.iter().map(|&r| (rf_src[r], r)));
-                for (evs, final_regs) in &concs {
+                for (evs, final_regs) in concs {
+                    let final_regs = Arc::new(final_regs);
                     let mut heaps: Vec<HeapPerm> =
                         co_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect();
                     loop {
@@ -936,9 +943,9 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                             .collect();
                         sink(Candidate {
                             exec,
-                            final_regs: final_regs.clone(),
+                            final_regs: Arc::clone(&final_regs),
                             final_mem,
-                            loc_names: locs.names().to_vec(),
+                            loc_names: Arc::clone(&locs.names),
                         });
                         stats.emitted += 1;
                         if stats.emitted > opts.max_candidates {
@@ -1088,7 +1095,7 @@ pub(crate) fn final_registers(
     combo: &[&ThreadPath],
     asg: &Assignment,
     read_gid: &[Vec<usize>],
-) -> BTreeMap<(u16, Reg), RegFinal> {
+) -> FinalRegs {
     let mut out = BTreeMap::new();
     for (t, path) in combo.iter().enumerate() {
         let rgids = read_gid[t].clone();

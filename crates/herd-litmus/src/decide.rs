@@ -45,7 +45,7 @@
 
 use crate::candidates::{
     bump, combo_parts, final_registers, thread_paths, value_domain, CandidateError, ComboParts,
-    EnumOptions, LocTable, RegFinal,
+    EnumOptions, FinalRegs, LocTable, RegFinal,
 };
 use crate::expr::{self, Equation, RVal, SymExpr, SymId};
 use crate::isa::Reg;
@@ -65,7 +65,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Outcome {
     /// Required final register values.
-    pub regs: BTreeMap<(u16, Reg), RegFinal>,
+    pub regs: FinalRegs,
     /// Required final memory values.
     pub mem: BTreeMap<String, i64>,
 }
@@ -624,7 +624,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
     arch: &A,
     opts: &EnumOptions,
     stats: &mut QueryStats,
-    emit: &mut dyn FnMut(&BTreeMap<(u16, Reg), RegFinal>, &BTreeMap<String, i64>),
+    emit: &mut dyn FnMut(&FinalRegs, &BTreeMap<String, i64>),
 ) -> Result<(), CandidateError> {
     let locs = LocTable::for_test(test);
     let loc_map = locs.as_map();
@@ -716,7 +716,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
 
 /// Canonical text of one full outcome, for deduplication (mirrors the log
 /// row format: `0:r1=1; x=2`).
-fn render_key(regs: &BTreeMap<(u16, Reg), RegFinal>, mem: &BTreeMap<String, i64>) -> String {
+fn render_key(regs: &FinalRegs, mem: &BTreeMap<String, i64>) -> String {
     let mut parts: Vec<String> = Vec::new();
     for ((tid, reg), v) in regs {
         let v = match v {

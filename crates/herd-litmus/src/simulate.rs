@@ -16,7 +16,9 @@
 //! [`simulate_corpus`] distributes a whole corpus over every core through
 //! the same executor (no static split, no idle workers).
 
-use crate::candidates::{self, Candidate, CandidateError, EnumOptions, RegFinal, VerdictCandidate};
+use crate::candidates::{
+    self, Candidate, CandidateError, EnumOptions, FinalRegs, RegFinal, VerdictCandidate,
+};
 use crate::isa::Reg;
 use crate::program::{CondVal, LitmusTest, Prop, Quantifier};
 use herd_core::model::{self, ArchRelations, Architecture, Verdict};
@@ -454,7 +456,7 @@ impl Judgement {
         &mut self,
         test: &LitmusTest,
         v: Verdict,
-        final_regs: &BTreeMap<(u16, Reg), RegFinal>,
+        final_regs: &FinalRegs,
         final_mem: &BTreeMap<String, i64>,
     ) {
         if !v.allowed() {
@@ -474,11 +476,7 @@ impl Judgement {
 
     /// Renders the observable state into `buf`, in the style of litmus
     /// logs: `1:r1=1; 1:r5=0;`.
-    fn render_state(
-        &mut self,
-        final_regs: &BTreeMap<(u16, Reg), RegFinal>,
-        final_mem: &BTreeMap<String, i64>,
-    ) {
+    fn render_state(&mut self, final_regs: &FinalRegs, final_mem: &BTreeMap<String, i64>) {
         use std::fmt::Write;
         let buf = &mut self.buf;
         buf.clear();
@@ -667,7 +665,7 @@ pub fn eval_prop(p: &Prop, c: &Candidate) -> bool {
 /// by the owned [`Candidate`] path and the arena verdict stream).
 pub fn eval_prop_parts(
     p: &Prop,
-    final_regs: &BTreeMap<(u16, Reg), RegFinal>,
+    final_regs: &FinalRegs,
     final_mem: &BTreeMap<String, i64>,
 ) -> bool {
     match p {

@@ -2,7 +2,7 @@
 //! every candidate execution of every corpus test — this is the paper's
 //! genericity claim: the model file *is* the model (Sec 8.3, Fig 38).
 
-use herd_cat::{stock, CatModel};
+use herd_cat::{stock, CatModel, CatWorkspace, CompiledModel};
 use herd_core::arch::{Arm, ArmVariant, Power, Sc, Tso};
 use herd_core::model::{check, Architecture};
 use herd_litmus::candidates::{enumerate, EnumOptions};
@@ -181,4 +181,74 @@ fn editing_the_model_file_changes_the_model() {
         weakened.check(&c.exec).unwrap().allowed() && !full.check(&c.exec).unwrap().allowed()
     });
     assert!(weakened_allows_more, "removing OBSERVATION must permit the mp witness");
+}
+
+/// Executions whose universes alternate between corpus sizes and a
+/// 70-event one (two words per relation row): thread 0 writes 34
+/// locations once each, thread 1 reads the first two.
+fn mixed_universe_executions() -> Vec<herd_core::Execution> {
+    let mut b = herd_core::enumerate::SkeletonBuilder::new();
+    let locs: Vec<String> = (0..34).map(|i| format!("x{i}")).collect();
+    for loc in &locs {
+        b.write(0, loc, 1);
+    }
+    b.read(1, &locs[0]);
+    b.read(1, &locs[1]);
+    let wide = b.build().candidates();
+    assert!(wide.iter().all(|x| x.len() > 64), "the wide executions must pass 64 events");
+    let opts = EnumOptions::default();
+    let narrow: Vec<herd_core::Execution> = corpus::power_corpus()
+        .iter()
+        .take(6)
+        .flat_map(|e| enumerate(&e.test, &opts).expect("enumeration succeeds"))
+        .map(|c| c.exec)
+        .collect();
+    let mut out = Vec::new();
+    for (i, x) in narrow.into_iter().enumerate() {
+        out.push(x);
+        out.push(wide[i % wide.len()].clone());
+    }
+    out
+}
+
+/// Checks every execution under every stock model, switching model on
+/// each call, and asserts the reused-workspace `check` agrees with
+/// `check_in` over a fresh workspace.
+fn assert_reused_matches_fresh(models: &[CompiledModel], execs: &[herd_core::Execution]) {
+    for (i, x) in execs.iter().enumerate() {
+        for k in 0..models.len() {
+            let j = (i + k) % models.len();
+            let fresh = models[j].check_in(x, &mut CatWorkspace::new());
+            assert_eq!(models[j].check(x), fresh, "execution #{i} ({} events), model {j}", x.len());
+        }
+    }
+}
+
+fn stock_compiled() -> Vec<CompiledModel> {
+    stock::ALL.iter().map(|(_, src)| stock::load(src).compile().expect("compiles")).collect()
+}
+
+/// `CompiledModel::check` reuses one workspace per thread; consecutive
+/// calls that alternate models and universe sizes (including rows of two
+/// words) must answer exactly as a fresh workspace does.
+#[test]
+fn reused_cat_workspace_matches_a_fresh_one() {
+    assert_reused_matches_fresh(&stock_compiled(), &mixed_universe_executions());
+}
+
+/// Two threads checking at once each get their own workspace: released
+/// together by a barrier, both still agree with fresh workspaces.
+#[test]
+fn reused_cat_workspace_is_per_thread() {
+    let models = stock_compiled();
+    let execs = mixed_universe_executions();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                assert_reused_matches_fresh(&models, &execs);
+            });
+        }
+    });
 }
