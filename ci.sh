@@ -30,16 +30,23 @@
 #                                     counting global allocator asserts 0
 #                                     steady-state heap allocations per
 #                                     candidate on iriw+2w
-#   5b. textbench (3 workloads)     — two seconds each of the text-in
+#   5b. textbench (3 workloads,     — two seconds each of the text-in
+#       hw-logs also traced)
 #                                     benchmark's litmus-sweep (the
 #                                     arena engine), cat-sweep (the eager
 #                                     oracle under cat models) and hw-logs
 #                                     (multi-model verdicts, decide and
 #                                     the cache) on seed 1: every verdict
 #                                     is checked against its reference, so
-#                                     a fast-path verdict bug fails CI; the
-#                                     step fails unless each workload's
-#                                     last line reports "correct": true
+#                                     a fast-path verdict bug fails CI; plus
+#                                     a traced hw-logs run, whose shadow
+#                                     cache recomputes every row's verdict
+#                                     key through the public
+#                                     query_fingerprint/outcome_fingerprint
+#                                     and fails on any drift from
+#                                     judge_log_cached's keys; the step
+#                                     fails unless each run's last line
+#                                     reports "correct": true
 #   6. perf_pipeline --quick --gate — the tracked perf bench (the eager
 #                                     oracle vs the pruning arena engine,
 #                                     thin-air pruning against the engine
@@ -109,13 +116,14 @@ run cargo test -q --workspace
 run cargo test -q --test consistency_differential
 run cargo test -q --test robustness --features fault-injection -- --test-threads=1
 run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
-for workload in litmus-sweep cat-sweep hw-logs; do
-    echo "==> textbench --workload $workload --seed 1 --seconds 2 --trace 0"
+for textbench_run in "litmus-sweep 0" "cat-sweep 0" "hw-logs 0" "hw-logs 1"; do
+    read -r workload trace <<< "$textbench_run"
+    echo "==> textbench --workload $workload --seed 1 --seconds 2 --trace $trace"
     textbench_last=$(cargo run --release --offline --quiet --manifest-path textbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+        --workload "$workload" --seed 1 --seconds 2 --trace "$trace" | tail -n 1)
     echo "$textbench_last"
     if [[ "$textbench_last" != *'"correct": true'* ]]; then
-        echo "textbench $workload: verdicts or exact counts are not correct" >&2
+        echo "textbench $workload (trace $trace): verdicts or exact counts are not correct" >&2
         exit 1
     fi
 done

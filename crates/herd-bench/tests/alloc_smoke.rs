@@ -11,7 +11,9 @@
 //! envelope: ppo fixed per combination) and on a coRR skeleton (a
 //! non-tight one: ppo computed per candidate). The same holds for a cat
 //! model's [`CompiledModel::check`], whose thread-owned workspace is
-//! reused: past warm-up it allocates only the verdict it returns.
+//! reused: past warm-up it allocates only the verdict it returns. And the
+//! verdict-cache keys (`query_fingerprint`, `outcome_fingerprint`) hash
+//! the test and the row by structure, so computing them allocates nothing.
 //!
 //! The allocation counter is per thread, so the tests may run on parallel
 //! harness threads.
@@ -29,6 +31,7 @@ use herd_core::model::Architecture;
 use herd_core::sched::Budget;
 use herd_litmus::candidates::{enumerate, EnumOptions};
 use herd_litmus::corpus;
+use herd_litmus::decide::{outcome_fingerprint, query_fingerprint, Outcome};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -139,5 +142,26 @@ fn cat_check_steady_state_allocates_only_its_verdict() {
         let cloned = allocation_count() - before;
         drop((verdict, copy));
         assert_eq!(checked, cloned, "candidate #{i}: check allocated past its verdict");
+    }
+}
+
+/// The verdict-cache key path of `herd_hw::log::judge_log_cached`: after
+/// a warm-up call, the query key of a corpus test and the row key of one
+/// of its full-state log rows perform no heap allocation at all.
+#[test]
+fn verdict_cache_keys_allocate_nothing() {
+    let opts = EnumOptions::default();
+    for entry in &corpus::power_corpus() {
+        let test = &entry.test;
+        let cands = enumerate(test, &opts).expect("enumerates");
+        let row = herd_hw::campaign::render_full_state(&cands[cands.len() - 1]);
+        let row = Outcome::from_state_row(&row).expect("a full-state row parses");
+        let key = || outcome_fingerprint(query_fingerprint(test, "Power", &opts), &row);
+        let warm = key();
+        let before = allocation_count();
+        let again = key();
+        let allocated = allocation_count() - before;
+        assert_eq!(allocated, 0, "{}: computing the keys allocated", test.name);
+        assert_eq!(again, warm, "{}: the keys are not deterministic", test.name);
     }
 }

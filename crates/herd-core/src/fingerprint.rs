@@ -26,6 +26,23 @@
 //! corpus (billions of distinct keys) vanishingly unlikely, which is what
 //! lets `herd-cache` treat the fingerprint as the *whole* key — a
 //! content-addressed store, not a hash table with stored keys.
+//!
+//! ## Hashing structure
+//!
+//! [`FpHasher`] also implements [`std::hash::Hasher`], so any value
+//! deriving [`Hash`] feeds its *structure* straight into a key — no
+//! rendering to text first, no allocation. Through the trait, integers
+//! are written as fixed-width little-endian bytes, with `usize`/`isize`
+//! widened to 8 bytes, so lengths and enum discriminants hash the same on
+//! every pointer width; byte strings go in raw, since std's `Hash`
+//! encoding frames them itself (strings end in `0xff`, collections are
+//! length-prefixed). The framed `write_*` methods of the same names are
+//! inherent and take precedence under method-call syntax; structural
+//! values go in as `value.hash(&mut h)`.
+//!
+//! Keys are stable within a build and across runs, processes and
+//! platforms. Nothing persists them: every cache is in memory, so a
+//! change of encoding only needs a new schema label.
 
 /// A 128-bit content fingerprint; the key type of the `herd-cache` store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -175,6 +192,50 @@ impl FpHasher {
     }
 }
 
+/// Structural hashing: `value.hash(&mut fp_hasher)` (see the module docs
+/// for the encoding). [`std::hash::Hasher::finish`] is the low 64 bits of
+/// the 128-bit [`FpHasher::finish`].
+impl std::hash::Hasher for FpHasher {
+    fn finish(&self) -> u64 {
+        FpHasher::finish(self).lo()
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.raw(bytes);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        std::hash::Hasher::write_u64(self, v as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, v: isize) {
+        std::hash::Hasher::write_i64(self, v as i64);
+    }
+}
+
 // Framing kind tags (arbitrary distinct bytes).
 const T_TAG: u8 = 0x7a;
 const T_BYTES: u8 = 0xb1;
@@ -249,6 +310,38 @@ mod tests {
         let mut row2 = FpHasher::from(k);
         row2.write_str("0:r1=0");
         assert_ne!(row1.finish(), row2.finish());
+    }
+
+    #[test]
+    fn pointer_sized_integers_hash_as_eight_bytes() {
+        use std::hash::Hasher;
+        let digest = |write: &dyn Fn(&mut FpHasher)| {
+            let mut h = FpHasher::new("t/v1");
+            write(&mut h);
+            FpHasher::finish(&h)
+        };
+        let usize7 = digest(&|h| Hasher::write_usize(h, 7));
+        assert_eq!(usize7, digest(&|h| Hasher::write_u64(h, 7)));
+        assert_eq!(usize7, digest(&|h| Hasher::write(h, &7u64.to_le_bytes())));
+        let isize7 = digest(&|h| Hasher::write_isize(h, 7));
+        assert_eq!(isize7, digest(&|h| Hasher::write_i64(h, 7)));
+        assert_eq!(isize7, usize7, "signed writes take the same fixed-width bytes");
+        assert_ne!(usize7, digest(&|h| Hasher::write_u32(h, 7)), "widths are not padded");
+    }
+
+    #[test]
+    fn derived_hash_separates_structure() {
+        use std::hash::Hash;
+        let digest = |v: &dyn Fn(&mut FpHasher)| {
+            let mut h = FpHasher::new("t/v1");
+            v(&mut h);
+            h.finish()
+        };
+        let a = digest(&|h| ("ab", "c").hash(h));
+        assert_eq!(a, digest(&|h| ("ab", "c").hash(h)));
+        assert_ne!(a, digest(&|h| ("a", "bc").hash(h)));
+        assert_ne!(digest(&|h| vec![1u8, 2].hash(h)), digest(&|h| (vec![1u8], vec![2u8]).hash(h)));
+        assert_ne!(digest(&|h| Some(0u8).hash(h)), digest(&|h| None::<u8>.hash(h)));
     }
 
     #[test]

@@ -408,7 +408,10 @@ mod tests {
     #[test]
     fn batched_and_cached_judging_match_the_plain_paths() {
         use herd_core::arch::Tso;
+        use herd_core::model::Architecture;
+        use herd_litmus::candidates::EnumOptions;
         use herd_litmus::corpus::Dev;
+        use herd_litmus::decide::{outcome_fingerprint, query_fingerprint, Outcome};
         use herd_litmus::isa::Isa;
         let test = corpus::sb(Isa::X86, Dev::Po, Dev::Po);
         let rows =
@@ -439,6 +442,14 @@ mod tests {
         assert_eq!(s.len, 4, "four distinct rows stored");
         assert!(s.hits >= rows.len() as u64, "the warm pass never decides: {s:?}");
         assert!(judge_log_cached(&test, &Tso, &["bogus"], &log_cache).is_err());
+        assert!(judge_log_cached(&test, &Tso, &["0:r1=0; 0:r1=1"], &log_cache).is_err());
+
+        // Every row is stored under the public key functions' key.
+        let base = query_fingerprint(&test, Tso.name(), &EnumOptions::default());
+        for (row, &want) in rows.iter().zip(&batch) {
+            let key = outcome_fingerprint(base, &Outcome::from_state_row(row).unwrap());
+            assert_eq!(log_cache.get(key), Some(want), "row '{row}' is not cached under its key");
+        }
     }
 
     #[test]

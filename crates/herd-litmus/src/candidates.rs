@@ -38,7 +38,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// The final value of a register, for condition checking.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RegFinal {
     /// An integer.
     Int(i64),

@@ -58,6 +58,7 @@ use herd_core::fingerprint::{Fingerprint, FpHasher};
 use herd_core::model::Architecture;
 use herd_core::ppo::PpoEnvelope;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hash;
 
 /// One queried final state: register values by `(thread, register)` and
 /// memory values by location name. Both parts are *subset* constraints —
@@ -79,7 +80,8 @@ impl Outcome {
     ///
     /// # Errors
     ///
-    /// Returns the malformed piece.
+    /// Returns the malformed piece, or the piece that names a register or
+    /// location an earlier piece of the row already named.
     pub fn from_state_row(row: &str) -> Result<Outcome, String> {
         let mut out = Outcome::default();
         for piece in row.split(';') {
@@ -104,10 +106,14 @@ impl Outcome {
                     Ok(v) => RegFinal::Int(v),
                     Err(_) => RegFinal::Addr(rhs.to_owned()),
                 };
-                out.regs.insert((tid, reg), val);
+                if out.regs.insert((tid, reg), val).is_some() {
+                    return Err(format!("'{piece}': register {tid}:{reg} named twice"));
+                }
             } else {
                 let v: i64 = rhs.parse().map_err(|_| format!("'{piece}': bad memory value"))?;
-                out.mem.insert(lhs.to_owned(), v);
+                if out.mem.insert(lhs.to_owned(), v).is_some() {
+                    return Err(format!("'{piece}': location {lhs} named twice"));
+                }
             }
         }
         Ok(out)
@@ -241,12 +247,11 @@ pub fn decide_log<A: Architecture + ?Sized>(
 ) -> Result<BatchDecision, CandidateError> {
     let mut stats = BatchStats { rows: rows.len() as u64, ..BatchStats::default() };
     // Literal repeats: each input row maps to one distinct outcome.
-    let mut first: BTreeMap<String, usize> = BTreeMap::new();
+    let mut first: BTreeMap<(&FinalRegs, &BTreeMap<String, i64>), usize> = BTreeMap::new();
     let mut distinct: Vec<usize> = Vec::new();
     let mut owner: Vec<usize> = Vec::with_capacity(rows.len());
     for (i, o) in rows.iter().enumerate() {
-        let key = render_key(&o.regs, &o.mem);
-        owner.push(*first.entry(key).or_insert_with(|| {
+        owner.push(*first.entry((&o.regs, &o.mem)).or_insert_with(|| {
             distinct.push(i);
             distinct.len() - 1
         }));
@@ -280,7 +285,7 @@ pub fn decide_log<A: Architecture + ?Sized>(
                 parts.rf_choices.iter().map(|c| c.len() as u128).product::<u128>().max(1);
             // Screen every still-undecided row, grouping survivors by
             // their screened rf class.
-            let mut groups: BTreeMap<u128, (Vec<Vec<usize>>, Vec<usize>)> = BTreeMap::new();
+            let mut groups: BTreeMap<ClassKey<'_>, Vec<usize>> = BTreeMap::new();
             let mut screened = 0usize;
             for &d in &live {
                 if dverdict[d].is_some() {
@@ -289,8 +294,7 @@ pub fn decide_log<A: Architecture + ?Sized>(
                 screened += 1;
                 let outcome = &rows[distinct[d]];
                 if let Some(menus) = screen_combo(test, &locs, &combo, &parts, outcome) {
-                    let key = class_fingerprint(&menus, &outcome.mem);
-                    groups.entry(key.0).or_insert_with(|| (menus, Vec::new())).1.push(d);
+                    groups.entry((menus, &outcome.mem)).or_default().push(d);
                 }
             }
             if screened > 0 && groups.is_empty() {
@@ -303,7 +307,7 @@ pub fn decide_log<A: Architecture + ?Sized>(
             // it across every class and coherence query of the combo.
             let envelope: Option<PpoEnvelope> =
                 if groups.is_empty() { None } else { arch.ppo_envelope(&parts.core) };
-            for (menus, members) in groups.values() {
+            for ((menus, _), members) in &groups {
                 stats.classes += 1;
                 decide_class(
                     test,
@@ -346,6 +350,11 @@ pub fn decide_log<A: Architecture + ?Sized>(
     let verdicts: Vec<bool> = owner.iter().map(|&d| dverdict[d].unwrap_or(false)).collect();
     Ok(BatchDecision { verdicts, stats })
 }
+
+/// The exact identity of one screened rf class: the filtered rf menus
+/// plus the row's memory constraints — everything the shared walk of
+/// [`decide_class`] depends on.
+type ClassKey<'a> = (Vec<Vec<usize>>, &'a BTreeMap<String, i64>);
 
 /// Walks one screened rf class within one control-flow combination,
 /// settling every member a witness covers. Members share the rf
@@ -450,35 +459,16 @@ fn decide_class<A: Architecture + ?Sized>(
     }
 }
 
-/// The identity of one screened rf class: the filtered menus plus the
-/// row's memory constraints — everything the shared walk depends on.
-fn class_fingerprint(menus: &[Vec<usize>], mem: &BTreeMap<String, i64>) -> Fingerprint {
-    let mut h = FpHasher::new("rf-class/v1");
-    h.tag("menus");
-    h.write_len(menus.len());
-    for m in menus {
-        h.write_len(m.len());
-        for &w in m {
-            h.write_u64(w as u64);
-        }
-    }
-    h.tag("mem");
-    h.write_len(mem.len());
-    for (name, &v) in mem {
-        h.write_str(name);
-        h.write_i64(v);
-    }
-    h.finish()
-}
-
 /// Stable content key of one `(test, model, opts)` query context — the
 /// base the per-row verdict keys of [`outcome_fingerprint`] extend, and
 /// the key `herd-cache` stores model logs and reachability verdicts
-/// under.
+/// under. The test is hashed by its structure (its derived [`Hash`]), so
+/// structurally equal tests share a key whatever source text they came
+/// from, and computing the key allocates nothing.
 pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions) -> Fingerprint {
-    let mut h = FpHasher::new("query/v1");
+    let mut h = FpHasher::new("query/v2");
     h.tag("test");
-    h.write_str(&test.to_string());
+    test.hash(&mut h);
     h.tag("model");
     h.write_str(model_name);
     h.tag("opts");
@@ -488,11 +478,15 @@ pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions
 }
 
 /// Extends a query key with one outcome row: the content key of a single
-/// cached verdict.
+/// cached verdict. Hashes the parsed maps, not the row text — the
+/// register map (length, then each `(tid, reg, Int|Addr)`), then the
+/// memory map (length, then each `(loc, value)`) — so piece order and
+/// spacing in the row do not matter, and no allocation happens.
 pub fn outcome_fingerprint(base: Fingerprint, outcome: &Outcome) -> Fingerprint {
     let mut h = FpHasher::from(base);
-    h.tag("row");
-    h.write_str(&render_key(&outcome.regs, &outcome.mem));
+    h.tag("row/v2");
+    outcome.regs.hash(&mut h);
+    outcome.mem.hash(&mut h);
     h.finish()
 }
 
@@ -631,7 +625,8 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
     let paths = thread_paths(test, opts, &loc_map)?;
     let domain = value_domain(test);
     let mut arena = RelArena::new(0);
-    let mut seen_allowed: BTreeSet<String> = BTreeSet::new();
+    // Allowed full outcomes already emitted, by register file.
+    let mut seen_allowed: BTreeMap<FinalRegs, BTreeSet<BTreeMap<String, i64>>> = BTreeMap::new();
     let mut pick = vec![0usize; paths.len()];
     let radices: Vec<usize> = paths.iter().map(Vec::len).collect();
     loop {
@@ -679,8 +674,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                         mem.insert(locs.name(loc).to_owned(), evs[w].val.0);
                         last_writes.push((loc, w));
                     }
-                    let key = render_key(&final_regs, &mem);
-                    if !seen_allowed.contains(&key) {
+                    if !seen_allowed.get(&final_regs).is_some_and(|seen| seen.contains(&mem)) {
                         let q = CoQuery {
                             core: &parts.core,
                             events: &evs,
@@ -694,8 +688,8 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                             &mut arena,
                             &mut stats.backend,
                         ) {
-                            seen_allowed.insert(key);
                             emit(&final_regs, &mem);
+                            seen_allowed.entry(final_regs.clone()).or_default().insert(mem);
                         }
                     }
                     if !bump(&mut lw_pick, &lw_radices) {
@@ -712,23 +706,6 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
         }
     }
     Ok(())
-}
-
-/// Canonical text of one full outcome, for deduplication (mirrors the log
-/// row format: `0:r1=1; x=2`).
-fn render_key(regs: &FinalRegs, mem: &BTreeMap<String, i64>) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for ((tid, reg), v) in regs {
-        let v = match v {
-            RegFinal::Int(i) => i.to_string(),
-            RegFinal::Addr(l) => l.clone(),
-        };
-        parts.push(format!("{tid}:{reg}={v}"));
-    }
-    for (loc, v) in mem {
-        parts.push(format!("{loc}={v}"));
-    }
-    parts.join("; ")
 }
 
 #[cfg(test)]
@@ -753,6 +730,19 @@ mod tests {
         assert!(o.mem.is_empty());
         assert!(Outcome::from_state_row("nonsense").is_err());
         assert!(Outcome::from_state_row("0:rx=1").is_err());
+    }
+
+    #[test]
+    fn rows_naming_an_observable_twice_are_rejected() {
+        // Keeping the last value would silently turn this row into r1=1.
+        let err = Outcome::from_state_row("0:r1=0; 0:r1=1").unwrap_err();
+        assert_eq!(err, "'0:r1=1': register 0:r1 named twice");
+        let err = Outcome::from_state_row("x=1; 1:r2=0; x = 1;").unwrap_err();
+        assert_eq!(err, "'x = 1': location x named twice");
+        // The same name as a register of two threads, or as a register
+        // and a location, is not a repeat.
+        let o = outcome("0:r1=0; 1:r1=1; r1=2");
+        assert_eq!((o.regs.len(), o.mem.len()), (2, 1));
     }
 
     #[test]
@@ -908,6 +898,54 @@ mod tests {
     }
 
     #[test]
+    fn outcome_keys_follow_the_parsed_row_not_its_text() {
+        let base = query_fingerprint(
+            &corpus::sb(Isa::X86, Dev::Po, Dev::Po),
+            "TSO",
+            &EnumOptions::default(),
+        );
+        let key = |row: &str| outcome_fingerprint(base, &outcome(row));
+        let k = key("0:r1=1; 1:r1=x; y=2");
+        for same in ["1:r1=x; y=2; 0:r1=1", "  0 : r1 = 1 ;1:r1=x;y=2", "y=2;0:r1=1;1:r1=x;;"] {
+            assert_eq!(
+                key(same),
+                k,
+                "piece order, spacing and trailing ';' are not identity: {same}"
+            );
+        }
+        let mut keys = BTreeSet::from([k]);
+        for other in [
+            "0:r1=0; 1:r1=x; y=2",
+            "0:r1=1; 1:r1=z; y=2",
+            "0:r1=1; 1:r1=x; y=3",
+            "0:r1=1; 1:r1=x; z=2",
+            "0:r2=1; 1:r1=x; y=2",
+            "1:r1=1; 0:r1=x; y=2",
+            "0:r1=1; 1:r1=x",
+            "0:r1=1; y=2",
+            "",
+        ] {
+            assert!(keys.insert(key(other)), "{other:?} collides");
+        }
+        // Int vs Addr: the same spelling as an integer or an address.
+        let mut addr = outcome("0:r1=1");
+        addr.regs.insert((0, Reg(1)), RegFinal::Addr("1".into()));
+        assert_ne!(key("0:r1=1"), outcome_fingerprint(base, &addr));
+        // The same name as a register or as a location.
+        assert_ne!(key("0:r1=1"), key("r1=1"));
+        let mut as_loc = outcome("");
+        as_loc.mem.insert("x".into(), 0);
+        assert_ne!(key("0:r1=x"), outcome_fingerprint(base, &as_loc));
+        // The row extends its query: another base, another key.
+        let sc_base = query_fingerprint(
+            &corpus::sb(Isa::X86, Dev::Po, Dev::Po),
+            "SC",
+            &EnumOptions::default(),
+        );
+        assert_ne!(k, outcome_fingerprint(sc_base, &outcome("0:r1=1; 1:r1=x; y=2")));
+    }
+
+    #[test]
     fn full_outcomes_match_enumeration_states() {
         use crate::simulate::eval_prop;
         for test in [
@@ -916,17 +954,20 @@ mod tests {
             corpus::co_rr(Isa::X86),
         ] {
             let cands = crate::candidates::enumerate(&test, &EnumOptions::default()).unwrap();
-            let reference: BTreeSet<String> = cands
+            let reference: BTreeSet<(FinalRegs, BTreeMap<String, i64>)> = cands
                 .iter()
                 .filter(|c| herd_core::model::check(&Tso, &c.exec).allowed())
-                .map(|c| render_key(&c.final_regs, &c.final_mem))
+                .map(|c| ((*c.final_regs).clone(), c.final_mem.clone()))
                 .collect();
             let mut stats = QueryStats::default();
             let mut ours = BTreeSet::new();
+            let mut emitted = 0;
             allowed_full_outcomes(&test, &Tso, &EnumOptions::default(), &mut stats, &mut |r, m| {
-                ours.insert(render_key(r, m));
+                ours.insert((r.clone(), m.clone()));
+                emitted += 1;
             })
             .unwrap();
+            assert_eq!(emitted, ours.len(), "{}: an outcome was emitted twice", test.name);
             assert_eq!(ours, reference, "{}", test.name);
             let _ = eval_prop; // referenced: observables drive both sides
         }

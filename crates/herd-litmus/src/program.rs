@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Initial value of a register: an integer or the address of a location.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum InitVal {
     /// An integer constant.
     Int(i64),
@@ -14,7 +14,7 @@ pub enum InitVal {
 }
 
 /// The quantifier of a final condition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Quantifier {
     /// `exists P`: validated if some allowed execution satisfies `P`.
     Exists,
@@ -25,7 +25,7 @@ pub enum Quantifier {
 }
 
 /// A value a final condition compares against.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CondVal {
     /// An integer.
     Int(i64),
@@ -34,7 +34,7 @@ pub enum CondVal {
 }
 
 /// A final-state proposition.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Prop {
     /// `T:rN = v`.
     RegEq {
@@ -95,7 +95,7 @@ impl fmt::Display for Prop {
 }
 
 /// The final condition of a litmus test.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Condition {
     /// The quantifier.
     pub quantifier: Quantifier,
@@ -115,7 +115,7 @@ impl fmt::Display for Condition {
 }
 
 /// A complete litmus test.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LitmusTest {
     /// Assembly dialect.
     pub isa: Isa,

@@ -5,17 +5,20 @@
 //! The cache under test is deliberately tiny (a handful of entries per
 //! shard) so random query sequences exercise all three paths — cold
 //! miss, warm hit, and re-miss after LRU eviction — while a reference
-//! model recomputes every verdict from scratch.
+//! model recomputes every verdict from scratch. The keys are the real
+//! verdict-cache keys of `herd_hw::log::judge_log_cached`, and their own
+//! properties are checked over a diy sample of realistic size.
 
-use cats::cache::{FpHasher, ShardedLru};
+use cats::cache::ShardedLru;
 use cats::litmus::candidates::EnumOptions;
 use cats::litmus::corpus::{self, Dev};
-use cats::litmus::decide::{decide_outcome, Outcome};
+use cats::litmus::decide::{decide_outcome, outcome_fingerprint, query_fingerprint, Outcome};
 use cats::litmus::isa::Isa;
 use cats::litmus::program::LitmusTest;
 use herd_core::arch::{Sc, Tso};
 use herd_core::model::Architecture;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The query universe: a few tests × a few state rows × two models.
 fn universe() -> Vec<(LitmusTest, String)> {
@@ -35,25 +38,28 @@ fn universe() -> Vec<(LitmusTest, String)> {
     out
 }
 
+/// Model `m` of the universe.
+fn arch(m: usize) -> &'static dyn Architecture {
+    if m == 0 {
+        &Sc
+    } else {
+        &Tso
+    }
+}
+
 /// The fresh (uncached) answer for query index `q` under model `m`.
 fn fresh(universe: &[(LitmusTest, String)], q: usize, m: usize) -> bool {
     let (test, row) = &universe[q];
     let outcome = Outcome::from_state_row(row).unwrap();
-    let arch: &dyn Architecture = if m == 0 { &Sc } else { &Tso };
-    decide_outcome(test, arch, &EnumOptions::default(), &outcome).unwrap().allowed
+    decide_outcome(test, arch(m), &EnumOptions::default(), &outcome).unwrap().allowed
 }
 
-/// The content key for query index `q` under model `m`.
+/// The verdict key for query index `q` under model `m`, as
+/// `judge_log_cached` computes it.
 fn key(universe: &[(LitmusTest, String)], q: usize, m: usize) -> cats::cache::Fingerprint {
     let (test, row) = &universe[q];
-    let mut h = FpHasher::new("query-cache-test/v1");
-    h.tag("test");
-    h.write_str(&test.to_string());
-    h.tag("model");
-    h.write_str(if m == 0 { "SC" } else { "TSO" });
-    h.tag("row");
-    h.write_str(row);
-    h.finish()
+    let base = query_fingerprint(test, arch(m).name(), &EnumOptions::default());
+    outcome_fingerprint(base, &Outcome::from_state_row(row).unwrap())
 }
 
 proptest! {
@@ -119,4 +125,51 @@ fn concurrent_traffic_preserves_verdicts() {
             });
         }
     });
+}
+
+/// The built-in corpus, the shipped `corpus/*.litmus` files and a
+/// deterministic diy sample of the Power and ARM pools (cycles up to
+/// length 6).
+fn key_corpus() -> (Vec<LitmusTest>, usize) {
+    use cats::diy::{arm_pool, generate_tests, power_pool};
+    let builtin = [corpus::power_corpus(), corpus::arm_corpus(), corpus::x86_corpus()];
+    let mut tests: Vec<LitmusTest> = builtin.into_iter().flatten().map(|e| e.test).collect();
+    tests.extend(cats::litmus::text_corpus::load_all().expect("the shipped files parse"));
+    let mut diy = 0;
+    for (pool, isa) in [(power_pool(), Isa::Power), (arm_pool(), Isa::Arm)] {
+        let sample = generate_tests(&pool, 6, isa, 600);
+        diy += sample.len();
+        tests.extend(sample);
+    }
+    (tests, diy)
+}
+
+/// Query keys hash the test's structure: distinct tests get distinct keys
+/// under every model name, and the same model name on the same test always
+/// gets the same key — whether the test was built in memory or parsed back
+/// from its own litmus text.
+#[test]
+fn query_keys_are_distinct_and_structural_over_a_diy_sample() {
+    let (tests, diy) = key_corpus();
+    assert!(diy >= 1000, "the diy sample has only {diy} tests");
+    let opts = EnumOptions::default();
+    let distinct: HashSet<&LitmusTest> = tests.iter().collect();
+    let mut keys = HashSet::new();
+    for test in &distinct {
+        for model in ["SC", "TSO", "Power", "ARM"] {
+            let fresh = keys.insert(query_fingerprint(test, model, &opts));
+            assert!(fresh, "{} under {model} collides with another query", test.name);
+        }
+    }
+    let mut round_trips = 0;
+    for test in &tests {
+        let key = query_fingerprint(test, "Power", &opts);
+        assert_eq!(key, query_fingerprint(&test.clone(), "Power", &opts), "{}", test.name);
+        let again = cats::litmus::parse::parse(&test.to_string()).expect("rendered tests parse");
+        if again == *test {
+            round_trips += 1;
+            assert_eq!(key, query_fingerprint(&again, "Power", &opts), "{}", test.name);
+        }
+    }
+    assert!(round_trips >= 1000, "only {round_trips} tests round-trip through their text");
 }
