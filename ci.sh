@@ -31,7 +31,8 @@
 #                                     steady-state heap allocations per
 #                                     candidate on iriw+2w
 #   5b. textbench (3 workloads,     — two seconds each of the text-in
-#       hw-logs also traced)
+#       hw-logs also traced and
+#       on seed 2)
 #                                     benchmark's litmus-sweep (the
 #                                     arena engine), cat-sweep (the eager
 #                                     oracle under cat models) and hw-logs
@@ -44,7 +45,10 @@
 #                                     key through the public
 #                                     query_fingerprint/outcome_fingerprint
 #                                     and fails on any drift from
-#                                     judge_log_cached's keys; the step
+#                                     judge_log_cached's keys; plus an
+#                                     untraced hw-logs run on seed 2, a
+#                                     second input for the cost-modelled
+#                                     stream-or-decide miss path; the step
 #                                     fails unless each run's last line
 #                                     reports "correct": true
 #   6. perf_pipeline --quick --gate — the tracked perf bench (the eager
@@ -116,14 +120,14 @@ run cargo test -q --workspace
 run cargo test -q --test consistency_differential
 run cargo test -q --test robustness --features fault-injection -- --test-threads=1
 run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
-for textbench_run in "litmus-sweep 0" "cat-sweep 0" "hw-logs 0" "hw-logs 1"; do
-    read -r workload trace <<< "$textbench_run"
-    echo "==> textbench --workload $workload --seed 1 --seconds 2 --trace $trace"
+for textbench_run in "litmus-sweep 1 0" "cat-sweep 1 0" "hw-logs 1 0" "hw-logs 1 1" "hw-logs 2 0"; do
+    read -r workload seed trace <<< "$textbench_run"
+    echo "==> textbench --workload $workload --seed $seed --seconds 2 --trace $trace"
     textbench_last=$(cargo run --release --offline --quiet --manifest-path textbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace "$trace" | tail -n 1)
+        --workload "$workload" --seed "$seed" --seconds 2 --trace "$trace" | tail -n 1)
     echo "$textbench_last"
     if [[ "$textbench_last" != *'"correct": true'* ]]; then
-        echo "textbench $workload (trace $trace): verdicts or exact counts are not correct" >&2
+        echo "textbench $workload (seed $seed, trace $trace): verdicts or exact counts are not correct" >&2
         exit 1
     fi
 done

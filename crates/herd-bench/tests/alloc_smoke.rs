@@ -13,7 +13,9 @@
 //! model's [`CompiledModel::check`], whose thread-owned workspace is
 //! reused: past warm-up it allocates only the verdict it returns. And the
 //! verdict-cache keys (`query_fingerprint`, `outcome_fingerprint`) hash
-//! the test and the row by structure, so computing them allocates nothing.
+//! the test and the row by structure, so computing them allocates nothing;
+//! a warm `judge_log_cached` call parses each row into a reused borrowing
+//! view, so its allocations do not grow with its row count.
 //!
 //! The allocation counter is per thread, so the tests may run on parallel
 //! harness threads.
@@ -163,5 +165,37 @@ fn verdict_cache_keys_allocate_nothing() {
         let allocated = allocation_count() - before;
         assert_eq!(allocated, 0, "{}: computing the keys allocated", test.name);
         assert_eq!(again, warm, "{}: the keys are not deterministic", test.name);
+    }
+}
+
+/// The hit path of `herd_hw::judge_log_cached`: each row is parsed once
+/// into a reused view that borrows the row text, keyed from the view and
+/// probed. Once every row is cached, a call over 64 rows allocates
+/// exactly what a call over 8 rows does (its verdict vector and the
+/// view's buffers), so a hit allocates nothing per row.
+#[test]
+fn warm_judge_log_cached_allocates_nothing_per_row() {
+    let power = Power::new();
+    for entry in corpus::power_corpus().iter().take(8) {
+        let test = &entry.test;
+        let cands = enumerate(test, &EnumOptions::default()).expect("enumerates");
+        let states: Vec<String> = cands.iter().map(herd_hw::campaign::render_full_state).collect();
+        let rows: Vec<&str> = (0..64).map(|i| states[i % states.len()].as_str()).collect();
+        let cache = herd_hw::VerdictCache::new(1024);
+        let cold = herd_hw::judge_log_cached(test, &power, &rows, &cache).expect("judges");
+        let calls = |n: usize| {
+            let before = allocation_count();
+            let warm = herd_hw::judge_log_cached(test, &power, &rows[..n], &cache).expect("judges");
+            let allocated = allocation_count() - before;
+            assert_eq!(warm, cold[..n], "{}: a hit changed a verdict", test.name);
+            allocated
+        };
+        calls(64);
+        let (eight, sixty_four) = (calls(8), calls(64));
+        assert_eq!(
+            eight, sixty_four,
+            "{}: a warm call's allocations grew with its rows",
+            test.name
+        );
     }
 }

@@ -220,8 +220,10 @@
 //! |---|---|---|
 //! | fingerprint | a deterministic 128-bit FNV-1a structural hash over a byte-tagged encoding; equal inputs hash equal across runs and platforms, so a fingerprint is a stable *content address* for a question | [`crate::fingerprint::Fingerprint`], [`crate::fingerprint::FpHasher`] |
 //! | query fingerprint | the address of a question's invariant part — the test's *structure* (its parsed program, initial state and condition, not its source text), model name, enumeration options — hashed once per log, not once per row | `herd_litmus::decide::query_fingerprint` |
-//! | outcome fingerprint | the query fingerprint extended with one parsed outcome's register and memory maps (not the row text): the full content address of a single verdict | `herd_litmus::decide::outcome_fingerprint` |
+//! | outcome fingerprint | the query fingerprint extended with one parsed outcome's register and memory maps (not the row text): the full content address of a single verdict; a borrowing row view keys itself identically without building the maps | `herd_litmus::decide::outcome_fingerprint`, `herd_litmus::decide::RowView` |
 //! | batch judging | `decide_log` parses every row up front, groups rows by their screened rf class, and answers each class with one backend walk — co placements launched once per class, not once per row | `herd_litmus::decide::decide_log`, `herd_hw::judge_entries` |
+//! | allowed set | the `mcompare` side of batch judging: one verdict stream collects the model's allowed states, and each row is answered by membership on the observables it names | `herd_litmus::decide::AllowedSet` |
+//! | log judging | the entry point that picks, per batch, between one streamed allowed set and `decide_log`, by the test's candidate space (rf configurations × coherence orders) against the distinct rows to answer | `herd_litmus::decide::judge_log`, `herd_hw::judge_log_cached` |
 //! | batch stats | the accounting of a batch: rows in, distinct classes walked, co saturations launched, rows answered by another row's work (`reused`) | `herd_litmus::decide::BatchStats` |
 //! | verdict cache | a sharded, bounded LRU keyed by outcome fingerprint; a warm `mcompare` pass over an unchanged log is pure lookups | the `herd-cache` crate, `herd_hw::judge_log_cached` |
 //!

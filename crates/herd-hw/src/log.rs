@@ -15,6 +15,7 @@
 //! Ok
 //! ```
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -59,11 +60,18 @@ impl Log {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed line.
+    /// Returns a message naming the first malformed line. A second
+    /// `Test` header for one name, or a state line repeating an earlier
+    /// one of its test, is malformed too — keeping either would silently
+    /// drop the earlier entry or count — and the message names the line
+    /// it repeats.
     pub fn parse(text: &str) -> Result<Log, String> {
         let mut log = Log::default();
+        // The line of each test's header, for the repeat errors.
+        let mut headers: BTreeMap<&str, usize> = BTreeMap::new();
         let mut current: Option<LogEntry> = None;
         for (lno, line) in text.lines().enumerate() {
+            let lno = lno + 1;
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -72,24 +80,36 @@ impl Log {
                 if let Some(e) = current.take() {
                     log.entries.insert(e.name.clone(), e);
                 }
-                let name = rest.split_whitespace().next().unwrap_or("").to_owned();
+                let name = rest.split_whitespace().next().unwrap_or("");
                 if name.is_empty() {
-                    return Err(format!("line {}: empty test name", lno + 1));
+                    return Err(format!("line {lno}: empty test name"));
                 }
-                current = Some(LogEntry { name, states: BTreeMap::new() });
+                if let Some(first) = headers.insert(name, lno) {
+                    return Err(format!(
+                        "line {lno}: test {name} repeats the header of line {first}"
+                    ));
+                }
+                current = Some(LogEntry { name: name.to_owned(), states: BTreeMap::new() });
             } else if line.starts_with("Histogram") || line == "Ok" || line == "No" {
                 // Informational lines.
             } else if let Some((count, state)) = line.split_once(":>") {
                 let Some(entry) = current.as_mut() else {
-                    return Err(format!("line {}: state before any Test header", lno + 1));
+                    return Err(format!("line {lno}: state before any Test header"));
                 };
-                let count: u64 = count
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("line {}: bad count '{count}'", lno + 1))?;
-                entry.states.insert(state.trim().to_owned(), count);
+                let count: u64 =
+                    count.trim().parse().map_err(|_| format!("line {lno}: bad count '{count}'"))?;
+                let state = state.trim();
+                match entry.states.entry(state.to_owned()) {
+                    Entry::Vacant(v) => {
+                        v.insert(count);
+                    }
+                    Entry::Occupied(_) => {
+                        let first = state_line(text, headers[entry.name.as_str()], state);
+                        return Err(format!("line {lno}: state '{state}' repeats line {first}"));
+                    }
+                }
             } else {
-                return Err(format!("line {}: unrecognised '{line}'", lno + 1));
+                return Err(format!("line {lno}: unrecognised '{line}'"));
             }
         }
         if let Some(e) = current.take() {
@@ -97,6 +117,13 @@ impl Log {
         }
         Ok(log)
     }
+}
+
+/// The 1-based line of the first `count:>state` line after the header on
+/// line `header` (1-based) that spells `state`.
+fn state_line(text: &str, header: usize, state: &str) -> usize {
+    let is_state = |line: &str| line.split_once(":>").is_some_and(|(_, s)| s.trim() == state);
+    text.lines().skip(header).position(is_state).map_or(header, |k| header + k + 1)
 }
 
 impl fmt::Display for Log {
@@ -236,7 +263,7 @@ pub type ModelLogCache = herd_cache::ShardedLru<BTreeMap<String, u64>>;
 
 /// A content-addressed store of per-row verdicts, keyed by
 /// `(test, model, opts, state row)` fingerprints — see
-/// [`judge_entry_cached`].
+/// [`judge_log_cached`].
 pub type VerdictCache = herd_cache::ShardedLru<bool>;
 
 /// Judges one log row — a full final state like `0:r1=1; x=2` — against a
@@ -259,15 +286,20 @@ pub fn judge_entry(
 }
 
 /// Judges a whole batch of log rows against one `(test, model)` pair
-/// through [`herd_litmus::decide::decide_log`]: repeated rows are
-/// answered once, and distinct rows sharing a screened rf class share
-/// one saturation. Returns per-row verdicts in input order plus the
-/// batch accounting.
+/// through [`herd_litmus::decide::decide_log`], always: repeated rows are
+/// answered once, and the distinct rows are grouped into screened rf
+/// classes, each walked once. On full-state hardware rows the classes are
+/// usually the rows themselves, one saturation each; the cost-modelled
+/// [`judge_log_cached`] is the fast path, and this is the plain
+/// `decide_log` judge it is checked against. Returns per-row verdicts in
+/// input order plus the batch accounting.
 ///
 /// # Errors
 ///
-/// Returns the parse error naming the first malformed state row, or the
-/// enumeration error message for a program thread semantics rejects.
+/// Returns the parse error of the first malformed state row, prefixed
+/// with its 1-based row number and text (`row 3 '0:r1=1; 0:r1=2': …`),
+/// or the enumeration error message for a program thread semantics
+/// rejects.
 pub fn judge_entries<S: AsRef<str>>(
     test: &herd_litmus::program::LitmusTest,
     model: &dyn herd_core::model::Architecture,
@@ -277,52 +309,52 @@ pub fn judge_entries<S: AsRef<str>>(
     use herd_litmus::decide::{decide_log, Outcome};
     let rows: Vec<Outcome> = states
         .iter()
-        .map(|s| Outcome::from_state_row(s.as_ref()))
+        .enumerate()
+        .map(|(i, s)| Outcome::from_state_row(s.as_ref()).map_err(|e| row_error(i, s.as_ref(), &e)))
         .collect::<Result<_, String>>()?;
     let batch =
         decide_log(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
     Ok((batch.verdicts, batch.stats))
 }
 
-/// The memoised variant of [`judge_entry`]: the verdict is stored in the
-/// content-addressed `cache` under the `(test, model, opts, row)`
-/// fingerprint, so a warm re-query never re-runs the decision.
+/// The memoised variant of [`judge_entry`]: [`judge_log_cached`] with a
+/// one-row log, so a warm re-query never re-runs the decision.
 ///
 /// # Errors
 ///
-/// As [`judge_entry`].
+/// As [`judge_log_cached`].
 pub fn judge_entry_cached(
     test: &herd_litmus::program::LitmusTest,
     model: &dyn herd_core::model::Architecture,
     state: &str,
     cache: &VerdictCache,
 ) -> Result<bool, String> {
-    use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::{outcome_fingerprint, query_fingerprint, Outcome};
-    let outcome = Outcome::from_state_row(state)?;
-    let base = query_fingerprint(test, model.name(), &EnumOptions::default());
-    let key = outcome_fingerprint(base, &outcome);
-    if let Some(v) = cache.get(key) {
-        return Ok(v);
-    }
-    let v = judge_entry(test, model, state)?;
-    cache.insert(key, v);
-    Ok(v)
+    judge_log_cached(test, model, std::slice::from_ref(&state), cache).map(|v| v[0])
 }
 
-/// The batched, memoised form of [`judge_entry`] — the Sec 11 `mcompare`
-/// inner loop at full speed. The query fingerprint is computed once per
-/// call (not once per row), every row is probed in the content-addressed
-/// `cache`, and the misses are decided *together* through
-/// [`herd_litmus::decide::decide_log`]'s class grouping before being
-/// cached. A warm re-query is one parse, one row fingerprint and one
-/// shard probe per row; a cold million-row log costs one saturation per
-/// distinct rf class.
+/// The batched, memoised judge of log rows — the Sec 11 `mcompare` inner
+/// loop at full speed.
+///
+/// - **Hits.** The query fingerprint is computed once per call. Each row
+///   is parsed once, in place, into a reused
+///   [`RowView`](herd_litmus::decide::RowView) that borrows the row text,
+///   keyed from the view and probed in the content-addressed `cache`. A
+///   hit allocates nothing.
+/// - **Misses.** The missed rows go to [`herd_litmus::decide::judge_log`]
+///   together. It runs thread semantics once, then either streams the
+///   test once and answers every missed row by membership in the allowed
+///   set, or decides them with `decide_log`, whichever its cost model
+///   (candidate space against missed distinct rows) says is cheaper. The
+///   verdicts are then cached.
+///
+/// Each row is stored under
+/// `outcome_fingerprint(query_fingerprint(test, model.name(), &EnumOptions::default()), &Outcome::from_state_row(row)?)`,
+/// and every row is probed exactly once per call.
 ///
 /// # Errors
 ///
-/// As [`judge_entry`]; a parse error names the first malformed row and
-/// caches nothing.
+/// As [`judge_entries`]: a parse error names the first malformed row, by
+/// 1-based number and text, and caches nothing.
 pub fn judge_log_cached<S: AsRef<str>>(
     test: &herd_litmus::program::LitmusTest,
     model: &dyn herd_core::model::Architecture,
@@ -330,32 +362,37 @@ pub fn judge_log_cached<S: AsRef<str>>(
     cache: &VerdictCache,
 ) -> Result<Vec<bool>, String> {
     use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::{decide_log, outcome_fingerprint, query_fingerprint, Outcome};
-    let base = query_fingerprint(test, model.name(), &EnumOptions::default());
-    let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(states.len());
-    let mut keys = Vec::with_capacity(states.len());
-    let mut missing = Vec::new();
+    use herd_litmus::decide::{judge_log, query_fingerprint, RowView};
+    let opts = EnumOptions::default();
+    let base = query_fingerprint(test, model.name(), &opts);
+    let mut view = RowView::default();
+    let mut verdicts = Vec::with_capacity(states.len());
+    let mut missed = Vec::new();
     let mut rows = Vec::new();
     for (i, s) in states.iter().enumerate() {
-        let outcome = Outcome::from_state_row(s.as_ref())?;
-        let key = outcome_fingerprint(base, &outcome);
+        let s = s.as_ref();
+        view.parse(s).map_err(|e| row_error(i, s, &e))?;
+        let key = view.fingerprint(base);
         let hit = cache.get(key);
         if hit.is_none() {
-            missing.push(i);
-            rows.push(outcome);
+            missed.push((i, key));
+            rows.push(view.to_outcome());
         }
-        keys.push(key);
-        verdicts.push(hit);
+        verdicts.push(hit.unwrap_or(false));
     }
-    if !missing.is_empty() {
-        let batch =
-            decide_log(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
-        for (&i, &v) in missing.iter().zip(&batch.verdicts) {
-            cache.insert(keys[i], v);
-            verdicts[i] = Some(v);
+    if !missed.is_empty() {
+        let judged = judge_log(test, model, &opts, &rows).map_err(|e| e.to_string())?;
+        for (&(i, key), &v) in missed.iter().zip(&judged.verdicts) {
+            cache.insert(key, v);
+            verdicts[i] = v;
         }
     }
-    Ok(verdicts.into_iter().map(|v| v.expect("every row hit or was decided")).collect())
+    Ok(verdicts)
+}
+
+/// A row's parse error, prefixed with its 1-based row number and text.
+fn row_error(index: usize, row: &str, err: &str) -> String {
+    format!("row {} '{row}': {err}", index + 1)
 }
 
 /// Builds the hardware-side log by running each test on a machine.
@@ -403,6 +440,18 @@ mod tests {
         assert!(Log::parse("Test \n").is_err());
         assert!(Log::parse("5:>x=1;\n").is_err(), "state before header");
         assert!(Log::parse("Test t Allowed\nwat\n").is_err());
+        // A repeated header would replace the earlier entry, a repeated
+        // state would overwrite its count: both are errors naming the
+        // line they repeat.
+        let err =
+            Log::parse("Test t Allowed\n1:>x=1;\n\nTest u Allowed\nTest t Allowed\n").unwrap_err();
+        assert_eq!(err, "line 5: test t repeats the header of line 1");
+        let err = Log::parse("Test t Allowed\nHistogram (2 states)\n3:>x=1;\n4:>x=0;\n5:>x=1;\n")
+            .unwrap_err();
+        assert_eq!(err, "line 5: state 'x=1;' repeats line 3");
+        // The same state under two tests is no repeat.
+        let log = Log::parse("Test t Allowed\n3:>x=1;\nTest u Allowed\n4:>x=1;\n").unwrap();
+        assert_eq!(log.entries.len(), 2);
     }
 
     #[test]
@@ -450,6 +499,28 @@ mod tests {
             let key = outcome_fingerprint(base, &Outcome::from_state_row(row).unwrap());
             assert_eq!(log_cache.get(key), Some(want), "row '{row}' is not cached under its key");
         }
+    }
+
+    #[test]
+    fn row_parse_errors_name_the_row() {
+        use herd_core::arch::Tso;
+        use herd_litmus::corpus::Dev;
+        use herd_litmus::isa::Isa;
+        let test = corpus::sb(Isa::X86, Dev::Po, Dev::Po);
+        let rows = ["0:r1=0; 1:r1=0", "0:r1=1", "0:r1=1; 0:r1=2", "bogus"];
+        let want = "row 3 '0:r1=1; 0:r1=2': '0:r1=2': register 0:r1 named twice";
+        let cache = VerdictCache::new(64);
+        assert_eq!(judge_log_cached(&test, &Tso, &rows, &cache).unwrap_err(), want);
+        assert_eq!(cache.stats().len, 0, "a parse error caches nothing");
+        assert_eq!(judge_entries(&test, &Tso, &rows).unwrap_err(), want);
+        assert_eq!(
+            judge_entry_cached(&test, &Tso, "bogus", &cache).unwrap_err(),
+            "row 1 'bogus': 'bogus': expected lhs=value"
+        );
+        assert_eq!(
+            judge_entry(&test, &Tso, "0:rx=1").unwrap_err(),
+            "row 1 '0:rx=1': '0:rx=1': bad register"
+        );
     }
 
     #[test]

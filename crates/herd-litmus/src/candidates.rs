@@ -358,37 +358,56 @@ pub(crate) fn thread_paths(
 /// Fails if thread semantics rejects the program.
 pub fn count_rf_configs(test: &LitmusTest, opts: &EnumOptions) -> Result<u128, CandidateError> {
     let locs = LocTable::for_test(test);
-    let loc_map = locs.as_map();
-    let paths = thread_paths(test, opts, &loc_map)?;
+    let paths = thread_paths(test, opts, &locs.as_map())?;
     let mut total = 0u128;
+    for_each_combo(&paths, |combo| total = total.saturating_add(combo_space(combo).0));
+    Ok(total)
+}
+
+/// The unpruned candidate space of a test whose thread paths are
+/// computed: per control-flow combination, rf configurations × coherence
+/// orders, summed — what a verdict stream would walk before any pruning.
+/// Costs no equation solving, only a count of each combination's
+/// accesses.
+pub(crate) fn candidate_space(paths: &[Vec<ThreadPath>]) -> u128 {
+    let mut total = 0u128;
+    for_each_combo(paths, |combo| {
+        let (rf, co) = combo_space(combo);
+        total = total.saturating_add(rf.saturating_mul(co));
+    });
+    total
+}
+
+/// Calls `f` on every control-flow combination, in odometer order.
+fn for_each_combo(paths: &[Vec<ThreadPath>], mut f: impl FnMut(&[&ThreadPath])) {
     let mut pick = vec![0usize; paths.len()];
     let radices: Vec<usize> = paths.iter().map(Vec::len).collect();
     loop {
-        let combo: Vec<&ThreadPath> = pick.iter().zip(&paths).map(|(&i, ps)| &ps[i]).collect();
-        let mut writes_by_loc: BTreeMap<Loc, u128> = BTreeMap::new();
-        for path in &combo {
-            for a in &path.accesses {
-                if a.dir == Dir::W {
-                    *writes_by_loc.entry(a.loc).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut cfgs = 1u128;
-        for path in &combo {
-            for a in &path.accesses {
-                if a.dir == Dir::R {
-                    // Same-location thread writes plus the initial write.
-                    let ws = writes_by_loc.get(&a.loc).copied().unwrap_or(0) + 1;
-                    cfgs = cfgs.saturating_mul(ws);
-                }
-            }
-        }
-        total = total.saturating_add(cfgs);
+        let combo: Vec<&ThreadPath> = pick.iter().zip(paths).map(|(&i, ps)| &ps[i]).collect();
+        f(&combo);
         if !bump(&mut pick, &radices) {
             break;
         }
     }
-    Ok(total)
+}
+
+/// The data-flow space of one control-flow combination, from its access
+/// shape alone: `(rf configurations, coherence orders per configuration)`.
+/// A read chooses among its location's thread writes plus the initial
+/// write; a location with `k` thread writes has `k!` coherence orders
+/// (the `ComboParts::co_total` product).
+fn combo_space(combo: &[&ThreadPath]) -> (u128, u128) {
+    let mut writes_by_loc: BTreeMap<Loc, usize> = BTreeMap::new();
+    for a in combo.iter().flat_map(|p| &p.accesses).filter(|a| a.dir == Dir::W) {
+        *writes_by_loc.entry(a.loc).or_insert(0) += 1;
+    }
+    let mut rf = 1u128;
+    for a in combo.iter().flat_map(|p| &p.accesses).filter(|a| a.dir == Dir::R) {
+        let ws = writes_by_loc.get(&a.loc).copied().unwrap_or(0) + 1;
+        rf = rf.saturating_mul(ws as u128);
+    }
+    let co = writes_by_loc.values().map(|&k| factorial(k)).fold(1u128, u128::saturating_mul);
+    (rf, co)
 }
 
 /// The exact size of the candidate space of `test` — what
@@ -489,6 +508,22 @@ fn count_candidates_owned(
     Ok(total)
 }
 
+/// [`stream_arch_verdicts`] over thread paths the caller has already
+/// computed (with [`thread_paths`] under `locs`): the batch judge of
+/// [`crate::decide::judge_log`] runs thread semantics once and hands the
+/// paths to whichever backend its cost model picks.
+pub(crate) fn stream_arch_verdicts_on<A: Architecture + ?Sized>(
+    test: &LitmusTest,
+    opts: &EnumOptions,
+    arch: &A,
+    locs: &LocTable,
+    paths: &[Vec<ThreadPath>],
+    sink: &mut dyn FnMut(&VerdictCandidate<'_>),
+) -> Result<EnumStats, CandidateError> {
+    let arch_ref = &arch;
+    stream_paths(test, opts, locs, paths, EVERYTHING, &mut Emit::Verdicts { arch: arch_ref, sink })
+}
+
 fn stream_impl(
     test: &LitmusTest,
     opts: &EnumOptions,
@@ -496,9 +531,18 @@ fn stream_impl(
     mode: &mut Emit<'_, '_>,
 ) -> Result<EnumStats, CandidateError> {
     let locs = LocTable::for_test(test);
-    let loc_map = locs.as_map();
-    let thread_paths = thread_paths(test, opts, &loc_map)?;
+    let thread_paths = thread_paths(test, opts, &locs.as_map())?;
+    stream_paths(test, opts, &locs, &thread_paths, owner, mode)
+}
 
+fn stream_paths(
+    test: &LitmusTest,
+    opts: &EnumOptions,
+    locs: &LocTable,
+    thread_paths: &[Vec<ThreadPath>],
+    owner: Range<u128>,
+    mode: &mut Emit<'_, '_>,
+) -> Result<EnumStats, CandidateError> {
     // Value domain for free (thin-air) symbols: every constant the test can
     // produce.
     let domain = value_domain(test);
@@ -514,10 +558,10 @@ fn stream_impl(
     let mut pick = vec![0usize; thread_paths.len()];
     loop {
         let combo: Vec<&ThreadPath> =
-            pick.iter().zip(&thread_paths).map(|(&i, ps)| &ps[i]).collect();
+            pick.iter().zip(thread_paths).map(|(&i, ps)| &ps[i]).collect();
         assemble(AssembleCtx {
             test,
-            locs: &locs,
+            locs,
             combo: &combo,
             domain: &domain,
             opts,
