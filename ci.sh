@@ -32,7 +32,9 @@
 #                                     candidate on iriw+2w
 #   5b. textbench (3 workloads,     — two seconds each of the text-in
 #       hw-logs also traced and
-#       on seed 2)
+#       on seed 2, litmus-sweep
+#       traced and cat-sweep on
+#       seed 2)
 #                                     benchmark's litmus-sweep (the
 #                                     arena engine), cat-sweep (the eager
 #                                     oracle under cat models) and hw-logs
@@ -48,9 +50,14 @@
 #                                     judge_log_cached's keys; plus an
 #                                     untraced hw-logs run on seed 2, a
 #                                     second input for the cost-modelled
-#                                     stream-or-decide miss path; the step
-#                                     fails unless each run's last line
-#                                     reports "correct": true
+#                                     stream-or-decide miss path; plus a
+#                                     traced litmus-sweep and an untraced
+#                                     cat-sweep run on seed 2, inputs the
+#                                     parser, the concretiser and the
+#                                     litmus.sem/core.stream probes were
+#                                     not tuned on; the step fails unless
+#                                     each run's last line reports
+#                                     "correct": true
 #   6. perf_pipeline --quick --gate — the tracked perf bench (the eager
 #                                     oracle vs the pruning arena engine,
 #                                     thin-air pruning against the engine
@@ -120,7 +127,8 @@ run cargo test -q --workspace
 run cargo test -q --test consistency_differential
 run cargo test -q --test robustness --features fault-injection -- --test-threads=1
 run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
-for textbench_run in "litmus-sweep 1 0" "cat-sweep 1 0" "hw-logs 1 0" "hw-logs 1 1" "hw-logs 2 0"; do
+for textbench_run in "litmus-sweep 1 0" "cat-sweep 1 0" "hw-logs 1 0" "hw-logs 1 1" "hw-logs 2 0" \
+    "litmus-sweep 2 1" "cat-sweep 2 0"; do
     read -r workload seed trace <<< "$textbench_run"
     echo "==> textbench --workload $workload --seed $seed --seconds 2 --trace $trace"
     textbench_last=$(cargo run --release --offline --quiet --manifest-path textbench/Cargo.toml -- \

@@ -26,14 +26,24 @@
 
 use herd_bench::alloc_count::{allocation_count, CountingAllocator};
 use herd_bench::iriw_scaled;
-use herd_core::arch::Power;
+use herd_core::arch::{Arm, ArmVariant, Power, Tso};
 use herd_core::arena::RelArena;
 use herd_core::enumerate::{Skeleton, SkeletonBuilder};
 use herd_core::model::Architecture;
 use herd_core::sched::Budget;
-use herd_litmus::candidates::{enumerate, EnumOptions};
+use herd_litmus::candidates::{count_rf_configs, enumerate, stream_range_verdicts, EnumOptions};
 use herd_litmus::corpus;
 use herd_litmus::decide::{outcome_fingerprint, query_fingerprint, Outcome};
+use herd_litmus::isa::{Instr, Isa};
+
+/// The stock model of each ISA.
+fn stock_model(isa: Isa) -> Box<dyn Architecture> {
+    match isa {
+        Isa::Power => Box::new(Power::new()),
+        Isa::Arm => Box::new(Arm::new(ArmVariant::Proposed)),
+        Isa::X86 => Box::new(Tso),
+    }
+}
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -198,4 +208,45 @@ fn warm_judge_log_cached_allocates_nothing_per_row() {
             test.name
         );
     }
+}
+
+/// The litmus verdict stream's per-rf-configuration work: on built-in
+/// tests with one control-flow combination and at least 8 rf
+/// configurations, streaming the whole range `[0, R)` allocates at most
+/// one more block per extra configuration than streaming `[0, 1)` — the
+/// pooled final register file an extra concretisation may need. Equation
+/// systems, assignments, value rows and the checker's frame all live in
+/// the combination's reused concretiser.
+#[test]
+fn verdict_stream_allocates_at_most_a_register_file_per_extra_configuration() {
+    let opts = EnumOptions::default();
+    let mut checked = Vec::new();
+    for entry in
+        corpus::power_corpus().into_iter().chain(corpus::arm_corpus()).chain(corpus::x86_corpus())
+    {
+        let test = &entry.test;
+        let branches = test.threads.iter().flatten().any(|i| matches!(i, Instr::Branch { .. }));
+        let configs = count_rf_configs(test, &opts).expect("thread semantics runs");
+        if branches || configs < 8 {
+            continue;
+        }
+        let arch = stock_model(test.isa);
+        let stream = |end: u128| {
+            let before = allocation_count();
+            stream_range_verdicts(test, &opts, arch.as_ref(), 0, end, &mut |_| {})
+                .expect("streams");
+            allocation_count() - before
+        };
+        stream(configs);
+        let (first, all) = (stream(1), stream(configs));
+        let extra = (configs - 1) as u64;
+        assert!(
+            all - first <= extra,
+            "{}: {} allocations over {extra} extra rf configurations",
+            test.name,
+            all - first
+        );
+        checked.push(test.name.clone());
+    }
+    assert!(checked.len() >= 4, "too few single-combination tests: {checked:?}");
 }

@@ -63,7 +63,11 @@ enum Tok {
     RBracket,
 }
 
+/// Scans bytes: every token character is ASCII. Any other character
+/// (UTF-8 is fine inside comments) is a lexical error, so `pos` is always
+/// at a character boundary when one is reported.
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -71,7 +75,7 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0, line: 1 }
+        Lexer { text: src, src: src.as_bytes(), pos: 0, line: 1 }
     }
 
     fn error(&self, message: impl Into<String>) -> CatParseError {
@@ -109,11 +113,14 @@ impl<'a> Lexer<'a> {
                         return Err(self.error("expected '^-1'"));
                     }
                 }
-                c if c.is_alphanumeric() || c == '_' => {
+                c if c.is_ascii_alphanumeric() || c == '_' => {
                     let t = self.name();
                     out.push((self.line, t));
                 }
-                other => return Err(self.error(format!("unexpected character '{other}'"))),
+                _ => {
+                    let other = self.text[self.pos..].chars().next().unwrap_or_default();
+                    return Err(self.error(format!("unexpected character '{other}'")));
+                }
             }
         }
         Ok(out)
@@ -147,14 +154,13 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         while self.pos < self.src.len() {
             let c = self.src[self.pos] as char;
-            if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' {
+            if c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' {
                 self.pos += 1;
             } else {
                 break;
             }
         }
-        let mut word: String =
-            std::str::from_utf8(&self.src[start..self.pos]).expect("ascii").to_owned();
+        let mut word = self.text[start..self.pos].to_owned();
         // The ctrl+isync / ctrl+isb / ctrl+cfence quirk: a '+' here is part
         // of the name, not a closure.
         if word == "ctrl" {
@@ -493,6 +499,19 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let m = parse("(* sc per location *) acyclic po-loc|com\n").unwrap();
+        assert_eq!(m.stmts.len(), 1);
+    }
+
+    #[test]
+    fn non_ascii_outside_comments_is_a_lexical_error() {
+        for (src, line, c) in [("let é = po\n", 1, 'é'), ("let x = po\n  | po ∪ rf\n", 2, '∪')]
+        {
+            let err = parse(src).unwrap_err();
+            assert_eq!(err.line, line, "{src:?}");
+            assert_eq!(err.message, format!("unexpected character '{c}'"), "{src:?}");
+        }
+        // Comments still take any UTF-8.
+        let m = parse("(* po ∪ rf, é *) acyclic po\n").unwrap();
         assert_eq!(m.stmts.len(), 1);
     }
 

@@ -4,10 +4,14 @@
 //! cartesian product of control-flow paths, then enumerate the data flow —
 //! a read-from source per read and a coherence order per location. Each
 //! read-from choice contributes the equation *read symbol = source write's
-//! value expression*; [`crate::expr::solve`] resolves the system (including
-//! the circular, thin-air-style systems of `lb+data`-like tests, whose free
-//! symbols are enumerated over the test's value domain) and each consistent
-//! assignment concretises into one [`herd_core::Execution`].
+//! value expression*; [`crate::expr::Solver`] resolves the system
+//! (including the circular, thin-air-style systems of `lb+data`-like tests,
+//! whose free symbols are enumerated over the test's value domain) and each
+//! consistent assignment concretises into event values and a final
+//! register file. One `Concretiser` per control-flow combination does this
+//! for every consumer — the verdict streams, the oracle, the candidate
+//! counter and the decision backend — with its buffers reused across rf
+//! configurations, so a configuration allocates nothing once they are warm.
 //!
 //! One enumerator serves two masters. [`enumerate`] is the reference
 //! oracle: every candidate, unpruned, as an owned [`Candidate`] for
@@ -20,10 +24,10 @@
 //! generate-and-prune strategy (paper, Sec 8.3). Every candidate of one
 //! control-flow combination shares a single `Arc`'d [`ExecCore`].
 
-use crate::expr::{self, Assignment, Equation, RVal, SymExpr, SymId};
+use crate::expr::{Assignment, Equation, RVal, Solver, SymExpr, SymId};
 use crate::isa::Reg;
 use crate::program::{InitVal, LitmusTest};
-use crate::sem::{self, SemError, ThreadPath};
+use crate::sem::{self, PathConstraint, SemError, ThreadPath};
 use herd_core::arena::RelArena;
 use herd_core::enumerate::{build_co, build_co_arena, HeapPerm};
 use herd_core::event::{Dir, Event, Fence, Loc, ThreadId, Val};
@@ -245,9 +249,10 @@ const EVERYTHING: Range<u128> = 0..u128::MAX;
 /// sound for `arch` *and* judges each candidate against the four axioms
 /// in place, without materialising an owned [`Execution`] — the driver
 /// behind [`crate::simulate::simulate_with`]. The worker state (one
-/// [`RelArena`]) lives inside; final registers are built once per rf
-/// configuration and final memory is overwritten in place, so the stream
-/// allocates nothing per coherence choice.
+/// [`RelArena`]) lives inside; final register files come from the
+/// combination's concretiser pool and final memory is overwritten in
+/// place, so once warm the stream allocates nothing per rf configuration
+/// or coherence choice.
 ///
 /// Pruning: SC PER LOCATION masks (read-read `po-loc` pairs dropped when
 /// [`Architecture::tolerates_load_load_hazards`]) and generation-time NO
@@ -465,32 +470,12 @@ fn count_candidates_owned(
         let combo: Vec<&ThreadPath> =
             pick.iter().zip(&thread_paths).map(|(&i, ps)| &ps[i]).collect();
         let parts = combo_parts(test, &locs, &combo);
-        let symbols: Vec<SymId> = parts.reads.iter().map(|&r| SymId(r)).collect();
+        let mut conc = Concretiser::new(test, &locs, &combo, &parts, &domain);
         let mut rf_pick = vec![0usize; parts.reads.len()];
         let rf_radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
         loop {
             if owner.contains(&cfg_idx) {
-                let mut equations = parts.base_equations.clone();
-                for (k, &r) in parts.reads.iter().enumerate() {
-                    let w = parts.rf_choices[k][rf_pick[k]];
-                    equations.push(Equation::ReadsValue {
-                        sym: SymId(r),
-                        expr: parts.write_value[w].clone().expect("write has a value expression"),
-                    });
-                }
-                // A concretisation counts iff every thread event's value
-                // resolves — the same keep test `assemble` applies.
-                let concs = expr::solve(&symbols, &equations, &domain)
-                    .into_iter()
-                    .filter(|asg| {
-                        parts.events.iter().filter(|e| e.thread.is_some()).all(|e| match e.dir {
-                            Dir::R => asg.get(SymId(e.id)).is_some(),
-                            Dir::W => parts.write_value[e.id]
-                                .as_ref()
-                                .is_some_and(|x| x.eval(asg).is_some()),
-                        })
-                    })
-                    .count() as u128;
+                let concs = conc.run(|k| parts.rf_choices[k][rf_pick[k]]) as u128;
                 total = total.saturating_add(concs.saturating_mul(parts.co_total));
             }
             cfg_idx += 1;
@@ -633,7 +618,7 @@ pub(crate) struct ComboParts {
     /// Value expression of each write event, by event id.
     pub write_value: Vec<Option<SymExpr>>,
     /// Path constraints, renamed to global symbols.
-    pub base_equations: Vec<Equation>,
+    pub constraints: Vec<PathConstraint>,
     /// The shared po/deps/fences core.
     pub core: Arc<ExecCore>,
     /// Read event ids.
@@ -755,14 +740,10 @@ pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPa
     }
 
     // Path constraints, renamed.
-    let mut base_equations: Vec<Equation> = Vec::new();
+    let mut constraints: Vec<PathConstraint> = Vec::new();
     for (t, path) in combo.iter().enumerate() {
         for c in &path.constraints {
-            base_equations.push(Equation::Constraint {
-                expr: c.expr.rename(&rename_for(t)),
-                want: c.want,
-                negated: c.negated,
-            });
+            constraints.push(PathConstraint { expr: c.expr.rename(&rename_for(t)), ..*c });
         }
     }
 
@@ -799,7 +780,7 @@ pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPa
         events,
         read_gid: layout.read_gid,
         write_value,
-        base_equations,
+        constraints,
         core,
         reads,
         rf_choices,
@@ -808,6 +789,187 @@ pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPa
         co_inits,
         co_total,
     }
+}
+
+/// The value concretisations of one control-flow combination, one rf
+/// configuration at a time — the single place where an rf choice becomes
+/// equations, [`Solver`] solves them, and each consistent assignment
+/// becomes event values and a final register file. The verdict streams,
+/// the oracle, the candidate counter and the decision backend
+/// ([`crate::decide`]) all concretise through it.
+///
+/// Built once per combination, next to [`combo_parts`]: the final-register
+/// expressions are renamed to global symbols here, once. Its buffers (the
+/// equation system, the solver, the value rows and a pool of register
+/// files) are reused across configurations, so past the first few
+/// configurations [`Concretiser::run`] allocates nothing.
+pub(crate) struct Concretiser<'p> {
+    parts: &'p ComboParts,
+    domain: &'p [i64],
+    /// One symbol per read event.
+    symbols: Vec<SymId>,
+    /// The path constraints, then one `ReadsValue` per read (rewritten by
+    /// every [`Concretiser::run`]).
+    equations: Vec<Equation<'p>>,
+    solver: Solver,
+    /// The final register file every concretisation starts from: fixed
+    /// entries (addresses, constants, unwritten registers' initial
+    /// values) plus a placeholder per entry of `reg_exprs`.
+    reg_template: FinalRegs,
+    /// Final registers whose value depends on the reads, with their
+    /// expressions over global symbols.
+    reg_exprs: Vec<((u16, Reg), SymExpr)>,
+    /// Event values of each concretisation of the last run, one row of
+    /// `parts.events.len()` values each, indexed by event id.
+    values: Vec<i64>,
+    /// Final register files; the first `len` belong to the last run, the
+    /// rest are kept for reuse.
+    regs: Vec<FinalRegs>,
+    len: usize,
+}
+
+impl<'p> Concretiser<'p> {
+    pub(crate) fn new(
+        test: &LitmusTest,
+        locs: &LocTable,
+        combo: &[&ThreadPath],
+        parts: &'p ComboParts,
+        domain: &'p [i64],
+    ) -> Self {
+        let mut reg_template = FinalRegs::new();
+        let mut reg_exprs = Vec::new();
+        for (t, path) in combo.iter().enumerate() {
+            let rgids = &parts.read_gid[t];
+            for (reg, val) in &path.final_regs {
+                let key = (t as u16, *reg);
+                let fin = match val {
+                    RVal::Addr(l) => RegFinal::Addr(locs.name(*l).to_owned()),
+                    RVal::Int(e) => match e.rename(&|s: SymId| SymId(rgids[s.0])) {
+                        SymExpr::Const(v) => RegFinal::Int(v),
+                        e => {
+                            reg_exprs.push((key, e));
+                            RegFinal::Int(0)
+                        }
+                    },
+                };
+                reg_template.insert(key, fin);
+            }
+            // Registers never written keep their initial value.
+            for ((tid, reg), init) in &test.reg_init {
+                if *tid == t as u16 && !path.final_regs.contains_key(reg) {
+                    let fin = match init {
+                        InitVal::Int(i) => RegFinal::Int(*i),
+                        InitVal::Loc(l) => RegFinal::Addr(l.clone()),
+                    };
+                    reg_template.insert((*tid, *reg), fin);
+                }
+            }
+        }
+        let equations = parts
+            .constraints
+            .iter()
+            .map(|c| Equation::Constraint { expr: &c.expr, want: c.want, negated: c.negated })
+            .collect();
+        Concretiser {
+            parts,
+            domain,
+            symbols: parts.reads.iter().map(|&r| SymId(r)).collect(),
+            equations,
+            solver: Solver::default(),
+            reg_template,
+            reg_exprs,
+            values: Vec::new(),
+            regs: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Concretises the rf configuration in which read `k` (in
+    /// `parts.reads` order) reads from write `src(k)`, and returns the
+    /// number of concretisations: the consistent assignments under which
+    /// every thread event's value resolves.
+    pub(crate) fn run(&mut self, src: impl Fn(usize) -> usize) -> usize {
+        let Concretiser {
+            parts,
+            domain,
+            symbols,
+            equations,
+            solver,
+            reg_template,
+            reg_exprs,
+            values,
+            regs,
+            len,
+        } = self;
+        let parts: &'p ComboParts = parts;
+        equations.truncate(parts.constraints.len());
+        for (k, &r) in parts.reads.iter().enumerate() {
+            let expr = parts.write_value[src(k)].as_ref().expect("write has a value expression");
+            equations.push(Equation::ReadsValue { sym: SymId(r), expr });
+        }
+        *len = 0;
+        let n = parts.events.len();
+        solver.solve_each(symbols, equations, domain, &mut |asg| {
+            let start = *len * n;
+            if values.len() < start + n {
+                values.resize(start + n, 0);
+            }
+            if !concretise_into(parts, asg, &mut values[start..start + n]) {
+                return;
+            }
+            if regs.len() == *len {
+                regs.push(reg_template.clone());
+            }
+            // The keys are the template's, so these overwrite in place.
+            let fin = &mut regs[*len];
+            for (key, e) in reg_exprs.iter() {
+                match e.eval(asg) {
+                    Some(v) => fin.insert(*key, RegFinal::Int(v)),
+                    None => fin.remove(key),
+                };
+            }
+            *len += 1;
+        });
+        *len
+    }
+
+    /// The event values of concretisation `i`, indexed by event id.
+    pub(crate) fn values(&self, i: usize) -> &[i64] {
+        let n = self.parts.events.len();
+        &self.values[i * n..(i + 1) * n]
+    }
+
+    /// The final register file of concretisation `i`.
+    pub(crate) fn final_regs(&self, i: usize) -> &FinalRegs {
+        &self.regs[i]
+    }
+
+    /// Writes the events of concretisation `i` into `buf`, reusing its
+    /// storage.
+    pub(crate) fn events_into(&self, i: usize, buf: &mut Vec<Event>) {
+        buf.clone_from(&self.parts.events);
+        for (e, &v) in buf.iter_mut().zip(self.values(i)) {
+            e.val = Val(v);
+        }
+    }
+}
+
+/// Writes every event's value under `asg` into `row`: initial writes keep
+/// their value, reads take their symbol's, writes evaluate their value
+/// expression. `false` when some thread event's value does not resolve.
+fn concretise_into(parts: &ComboParts, asg: &Assignment, row: &mut [i64]) -> bool {
+    for (e, slot) in parts.events.iter().zip(row) {
+        let v = match (e.thread, e.dir) {
+            (None, _) => Some(e.val.0),
+            (Some(_), Dir::R) => asg.get(SymId(e.id)),
+            (Some(_), Dir::W) => parts.write_value[e.id].as_ref().and_then(|x| x.eval(asg)),
+        };
+        match v {
+            Some(v) => *slot = v,
+            None => return false,
+        }
+    }
+    true
 }
 
 /// Everything [`assemble`] needs for one combination of thread paths.
@@ -844,19 +1006,11 @@ struct Judged {
 /// them into the sink as the data-flow odometer advances.
 fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
     let AssembleCtx { test, locs, combo, domain, opts, owner, cfg_idx, arena, mode, stats } = ctx;
+    let parts = combo_parts(test, locs, combo);
     let ComboParts {
-        events,
-        read_gid,
-        write_value,
-        base_equations,
-        core,
-        reads,
-        rf_choices,
-        co_locs,
-        co_writes,
-        co_inits,
-        co_total,
-    } = combo_parts(test, locs, combo);
+        events, core, reads, rf_choices, co_locs, co_writes, co_inits, co_total, ..
+    } = &parts;
+    let co_total = *co_total;
     let n = events.len();
 
     // The emit mode fixes the pruning. The oracle (`Cands`) prunes
@@ -869,12 +1023,12 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
     let judged = match &*mode {
         Emit::Cands(_) => None,
         Emit::Verdicts { arch, .. } => {
-            let (checker, env) = ArenaChecker::for_combination(*arch, &core);
-            let base = thin_air_base_with(*arch, &core, env.as_ref());
+            let (checker, env) = ArenaChecker::for_combination(*arch, core);
+            let base = thin_air_base_with(*arch, core, env.as_ref());
             Some((vec![checker], arch.tolerates_load_load_hazards(), base))
         }
         Emit::Multi { archs, .. } => {
-            let checkers = archs.iter().map(|a| ArenaChecker::for_combination(a, &core).0);
+            let checkers = archs.iter().map(|a| ArenaChecker::for_combination(a, core).0);
             let llh = archs.iter().any(|a| a.tolerates_load_load_hazards());
             Some((checkers.collect(), llh, None))
         }
@@ -894,7 +1048,7 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
             checkers,
             rels: ExecRels::alloc(arena),
             graphs,
-            menus: CoMenus::new(&co_writes),
+            menus: CoMenus::new(co_writes),
             co_pick: vec![0usize; co_locs.len()],
             thinair: base.map(|b| ThinAirTracker::new(&b)),
             scopes: Vec::new(),
@@ -903,8 +1057,9 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
     });
     let mut final_mem: BTreeMap<String, i64> =
         locs.names().iter().map(|name| (name.clone(), 0)).collect();
-
-    let symbols: Vec<SymId> = reads.iter().map(|&r| SymId(r)).collect();
+    let mut conc = Concretiser::new(test, locs, combo, &parts, domain);
+    // The concretised events the checker's frame holds.
+    let mut frame_events: Vec<Event> = Vec::new();
 
     let mut rf_src = vec![0usize; n];
     let mut rf_pick = vec![0usize; reads.len()];
@@ -920,43 +1075,11 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                 break 'cfg;
             }
 
-            // Equations for this rf choice.
-            let mut equations = base_equations.clone();
             for (k, &r) in reads.iter().enumerate() {
-                let w = rf_choices[k][rf_pick[k]];
-                rf_src[r] = w;
-                equations.push(Equation::ReadsValue {
-                    sym: SymId(r),
-                    expr: write_value[w].clone().expect("write has a value expression"),
-                });
+                rf_src[r] = rf_choices[k][rf_pick[k]];
             }
-
-            // Concretised event values per consistent assignment.
-            let mut concs: Vec<(Vec<Event>, FinalRegs)> = Vec::new();
-            for asg in expr::solve(&symbols, &equations, domain) {
-                let mut evs = events.clone();
-                let mut ok = true;
-                for e in &mut evs {
-                    if e.thread.is_none() {
-                        continue;
-                    }
-                    let v = match e.dir {
-                        Dir::R => asg.get(SymId(e.id)),
-                        Dir::W => write_value[e.id].as_ref().and_then(|x| x.eval(&asg)),
-                    };
-                    match v {
-                        Some(v) => e.val = Val(v),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    concs.push((evs, final_registers(test, locs, combo, &asg, &read_gid)));
-                }
-            }
-            if concs.is_empty() {
+            let concs = conc.run(|k| rf_choices[k][rf_pick[k]]);
+            if concs == 0 {
                 break 'cfg;
             }
 
@@ -968,8 +1091,9 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                     unreachable!("every judged mode has judged state")
                 };
                 let rf = Relation::from_pairs(n, reads.iter().map(|&r| (rf_src[r], r)));
-                for (evs, final_regs) in concs {
-                    let final_regs = Arc::new(final_regs);
+                for i in 0..concs {
+                    conc.events_into(i, &mut frame_events);
+                    let final_regs = Arc::new(conc.final_regs(i).clone());
                     let mut heaps: Vec<HeapPerm> =
                         co_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect();
                     loop {
@@ -977,9 +1101,13 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                         for (li, &init) in co_inits.iter().enumerate() {
                             build_co(&mut co, init, heaps[li].current());
                         }
-                        let exec =
-                            Execution::with_core(evs.clone(), Arc::clone(&core), rf.clone(), co)
-                                .expect("assembled candidates are well-formed");
+                        let exec = Execution::with_core(
+                            frame_events.clone(),
+                            Arc::clone(core),
+                            rf.clone(),
+                            co,
+                        )
+                        .expect("assembled candidates are well-formed");
                         let final_mem = exec
                             .final_memory()
                             .into_iter()
@@ -1020,7 +1148,7 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                 }))
             });
             if thin_air_doomed {
-                stats.pruned += (concs.len() as u128).saturating_mul(co_total);
+                stats.pruned += (concs as u128).saturating_mul(co_total);
                 break 'cfg;
             }
 
@@ -1029,13 +1157,13 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
             // an empty menu or a failed rf-only location kills the whole
             // rf subtree before any candidate is checked (the engine's
             // herd_core::uniproc helpers).
-            graphs.co_menus_into(&co_locs, &rf_src, menus);
-            let kept = if graphs.rf_only_consistent_pooled(&co_locs, &rf_src, menus) {
+            graphs.co_menus_into(co_locs, &rf_src, menus);
+            let kept = if graphs.rf_only_consistent_pooled(co_locs, &rf_src, menus) {
                 menus.kept()
             } else {
                 0
             };
-            stats.pruned += (concs.len() as u128).saturating_mul(co_total.saturating_sub(kept));
+            stats.pruned += (concs as u128).saturating_mul(co_total.saturating_sub(kept));
             if kept == 0 {
                 break 'cfg;
             }
@@ -1043,14 +1171,17 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
             // Fill the arena rf slot, refresh the rf-invariant derived
             // relations and each checker's rf scope once for the whole rf
             // configuration, above a mark released after its last
-            // coherence choice.
+            // coherence choice. The checker reads events only through the
+            // frame, and verdicts do not depend on values: the first
+            // concretisation's events stand for all of them.
             arena.clear(rels.rf);
-            for &r in &reads {
+            for &r in reads {
                 arena.add(rels.rf, rf_src[r], r);
             }
-            rels.derive_rf(&core, arena);
+            rels.derive_rf(core, arena);
             let rf_mark = arena.mark();
-            let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
+            conc.events_into(0, &mut frame_events);
+            let fx = ExecFrame { core, events: &frame_events, rels };
             scopes.clear();
             scopes.extend(checkers.iter().map(|ck| ck.rf_scope(&fx, arena)));
 
@@ -1065,8 +1196,8 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                 for (li, &init) in co_inits.iter().enumerate() {
                     build_co_arena(arena, rels.co, init, menus.order(li, co_pick[li]));
                 }
-                rels.derive_co(&core, arena);
-                let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
+                rels.derive_co(core, arena);
+                let fx = ExecFrame { core, events: &frame_events, rels };
                 verdicts.clear();
                 match &*mode {
                     Emit::Verdicts { arch, .. } => {
@@ -1079,15 +1210,17 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_>) -> Result<(), CandidateError> {
                     }
                     Emit::Cands(_) => unreachable!("the oracle is never judged"),
                 }
-                for (evs, final_regs) in &concs {
+                for i in 0..concs {
                     // Every location has an initial write, so each has
                     // exactly one co-maximal write: overwrite its entry in
                     // place, no allocation per candidate.
                     let co = arena.view(rels.co);
-                    for e in evs.iter().filter(|e| e.is_write() && co.row_is_empty(e.id)) {
+                    let values = conc.values(i);
+                    for e in events.iter().filter(|e| e.is_write() && co.row_is_empty(e.id)) {
                         *final_mem.get_mut(locs.name(e.loc)).expect("every location keyed") =
-                            e.val.0;
+                            values[e.id];
                     }
+                    let final_regs = conc.final_regs(i);
                     match &mut *mode {
                         Emit::Verdicts { sink, .. } => sink(&VerdictCandidate {
                             verdict: verdicts[0],
@@ -1131,41 +1264,6 @@ fn too_many(opts: &EnumOptions, stats: &EnumStats) -> CandidateError {
 
 fn factorial(k: usize) -> u128 {
     (1..=k as u128).fold(1u128, u128::saturating_mul)
-}
-
-pub(crate) fn final_registers(
-    test: &LitmusTest,
-    locs: &LocTable,
-    combo: &[&ThreadPath],
-    asg: &Assignment,
-    read_gid: &[Vec<usize>],
-) -> FinalRegs {
-    let mut out = BTreeMap::new();
-    for (t, path) in combo.iter().enumerate() {
-        let rgids = read_gid[t].clone();
-        let rename = move |s: SymId| SymId(rgids[s.0]);
-        for (reg, val) in &path.final_regs {
-            let fin = match val {
-                RVal::Addr(l) => RegFinal::Addr(locs.name(*l).to_owned()),
-                RVal::Int(e) => match e.rename(&rename).eval(asg) {
-                    Some(v) => RegFinal::Int(v),
-                    None => continue,
-                },
-            };
-            out.insert((t as u16, *reg), fin);
-        }
-        // Registers never written keep their initial value.
-        for ((tid, reg), init) in &test.reg_init {
-            if *tid == t as u16 && !path.final_regs.contains_key(reg) {
-                let fin = match init {
-                    InitVal::Int(i) => RegFinal::Int(*i),
-                    InitVal::Loc(l) => RegFinal::Addr(l.clone()),
-                };
-                out.insert((*tid, *reg), fin);
-            }
-        }
-    }
-    out
 }
 
 pub(crate) fn bump(digits: &mut [usize], radices: &[usize]) -> bool {

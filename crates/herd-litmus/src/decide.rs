@@ -60,10 +60,10 @@
 //! that borrows its text, so a cache hit builds no [`Outcome`].
 
 use crate::candidates::{
-    bump, candidate_space, combo_parts, final_registers, stream_arch_verdicts_on, thread_paths,
-    value_domain, CandidateError, ComboParts, EnumOptions, FinalRegs, LocTable, RegFinal,
+    bump, candidate_space, combo_parts, stream_arch_verdicts_on, thread_paths, value_domain,
+    CandidateError, ComboParts, Concretiser, EnumOptions, FinalRegs, LocTable, RegFinal,
 };
-use crate::expr::{self, Equation, RVal, SymExpr, SymId};
+use crate::expr::{RVal, SymExpr};
 use crate::isa::Reg;
 use crate::program::{InitVal, LitmusTest};
 use crate::sem::ThreadPath;
@@ -442,14 +442,13 @@ fn decide_rows<A: Architecture + ?Sized>(
             // it across every class and coherence query of the combo.
             let envelope: Option<PpoEnvelope> =
                 if groups.is_empty() { None } else { arch.ppo_envelope(&parts.core) };
+            let mut conc = Concretiser::new(test, locs, &combo, &parts, &domain);
             for ((menus, _), members) in &groups {
                 stats.classes += 1;
                 decide_class(
-                    test,
                     arch,
                     locs,
-                    &combo,
-                    &domain,
+                    &mut conc,
                     &parts,
                     envelope.as_ref(),
                     menus,
@@ -667,11 +666,9 @@ type ClassKey<'a> = (Vec<Vec<usize>>, &'a BTreeMap<String, i64>);
 /// register probe is per-row.
 #[allow(clippy::too_many_arguments)] // private odometer step of decide_log
 fn decide_class<A: Architecture + ?Sized>(
-    test: &LitmusTest,
     arch: &A,
     locs: &LocTable,
-    combo: &[&ThreadPath],
-    domain: &[i64],
+    conc: &mut Concretiser<'_>,
     parts: &ComboParts,
     envelope: Option<&PpoEnvelope>,
     menus: &[Vec<usize>],
@@ -685,37 +682,28 @@ fn decide_class<A: Architecture + ?Sized>(
     // Memory constraints are part of the class key: identical across
     // members, so any member stands for the class below.
     let class_outcome = &rows[distinct[members[0]]];
-    let symbols: Vec<SymId> = parts.reads.iter().map(|&r| SymId(r)).collect();
     let rf_radices: Vec<usize> = menus.iter().map(Vec::len).collect();
     let mut rf_pick = vec![0usize; menus.len()];
+    let mut rf_pairs: Vec<(usize, usize)> = Vec::with_capacity(parts.reads.len());
+    let mut matching: Vec<usize> = Vec::new();
+    let mut evs: Vec<Event> = Vec::new();
     loop {
         stats.query.rf_configs += 1;
-        let mut equations = parts.base_equations.clone();
-        let mut rf_pairs: Vec<(usize, usize)> = Vec::with_capacity(parts.reads.len());
-        for (k, &r) in parts.reads.iter().enumerate() {
-            let w = menus[k][rf_pick[k]];
-            rf_pairs.push((w, r));
-            equations.push(Equation::ReadsValue {
-                sym: SymId(r),
-                expr: parts.write_value[w].clone().expect("write has a value expression"),
-            });
-        }
-        for asg in expr::solve(&symbols, &equations, domain) {
-            let Some(evs) = concretise(parts, &asg) else { continue };
-            let final_regs = final_registers(test, locs, combo, &asg, &parts.read_gid);
+        rf_pairs.clear();
+        rf_pairs.extend(parts.reads.iter().enumerate().map(|(k, &r)| (menus[k][rf_pick[k]], r)));
+        for i in 0..conc.run(|k| menus[k][rf_pick[k]]) {
+            let final_regs = conc.final_regs(i);
             // The per-row probe: which undecided members does this
             // concretisation's register file satisfy?
-            let matching: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&d| dverdict[d].is_none())
-                .filter(|&d| {
-                    rows[distinct[d]].regs.iter().all(|(k, v)| final_regs.get(k) == Some(v))
-                })
-                .collect();
+            matching.clear();
+            matching.extend(members.iter().copied().filter(|&d| {
+                dverdict[d].is_none()
+                    && rows[distinct[d]].regs.iter().all(|(k, v)| final_regs.get(k) == Some(v))
+            }));
             if matching.is_empty() {
                 continue;
             }
+            conc.events_into(i, &mut evs);
             // The outcome's memory values pin per-location co-maximal
             // writes: collect the candidate last writes of each
             // constrained location (any one of them being co-maximal
@@ -884,23 +872,6 @@ fn screen_combo(
     Some(menus)
 }
 
-/// Concretises the combination's events under one assignment; `None` when
-/// a value does not resolve.
-fn concretise(parts: &ComboParts, asg: &expr::Assignment) -> Option<Vec<Event>> {
-    let mut evs = parts.events.clone();
-    for e in &mut evs {
-        if e.thread.is_none() {
-            continue;
-        }
-        let v = match e.dir {
-            herd_core::event::Dir::R => asg.get(SymId(e.id)),
-            herd_core::event::Dir::W => parts.write_value[e.id].as_ref().and_then(|x| x.eval(asg)),
-        };
-        e.val = Val(v?);
-    }
-    Some(evs)
-}
-
 /// The candidate co-maximal writes of each memory-constrained location;
 /// `None` when some required value is unproducible in this
 /// concretisation.
@@ -967,24 +938,19 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
         stats.rf_space += parts.rf_choices.iter().map(|c| c.len() as u128).product::<u128>().max(1);
         // One ppo envelope per combination, shared by every query on it.
         let envelope: Option<PpoEnvelope> = arch.ppo_envelope(&parts.core);
-        let symbols: Vec<SymId> = parts.reads.iter().map(|&r| SymId(r)).collect();
+        let mut conc = Concretiser::new(test, &locs, &combo, &parts, &domain);
         let rf_radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
         let mut rf_pick = vec![0usize; parts.rf_choices.len()];
+        let mut rf_pairs: Vec<(usize, usize)> = Vec::with_capacity(parts.reads.len());
+        let mut evs: Vec<Event> = Vec::new();
         loop {
             stats.rf_configs += 1;
-            let mut equations = parts.base_equations.clone();
-            let mut rf_pairs: Vec<(usize, usize)> = Vec::with_capacity(parts.reads.len());
-            for (k, &r) in parts.reads.iter().enumerate() {
-                let w = parts.rf_choices[k][rf_pick[k]];
-                rf_pairs.push((w, r));
-                equations.push(Equation::ReadsValue {
-                    sym: SymId(r),
-                    expr: parts.write_value[w].clone().expect("write has a value expression"),
-                });
-            }
-            for asg in expr::solve(&symbols, &equations, &domain) {
-                let Some(evs) = concretise(&parts, &asg) else { continue };
-                let final_regs = final_registers(test, &locs, &combo, &asg, &parts.read_gid);
+            let choice = |k: usize| parts.rf_choices[k][rf_pick[k]];
+            rf_pairs.clear();
+            rf_pairs.extend(parts.reads.iter().enumerate().map(|(k, &r)| (choice(k), r)));
+            for i in 0..conc.run(choice) {
+                conc.events_into(i, &mut evs);
+                let final_regs = conc.final_regs(i);
                 stats.matched += 1;
                 // Full final memory: one co-maximal write choice per
                 // location with thread writes, the initial value
@@ -1005,7 +971,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                         mem.insert(locs.name(loc).to_owned(), evs[w].val.0);
                         last_writes.push((loc, w));
                     }
-                    if !seen_allowed.get(&final_regs).is_some_and(|seen| seen.contains(&mem)) {
+                    if !seen_allowed.get(final_regs).is_some_and(|seen| seen.contains(&mem)) {
                         let q = CoQuery {
                             core: &parts.core,
                             events: &evs,
@@ -1019,7 +985,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                             &mut arena,
                             &mut stats.backend,
                         ) {
-                            emit(&final_regs, &mem);
+                            emit(final_regs, &mem);
                             seen_allowed.entry(final_regs.clone()).or_default().insert(mem);
                         }
                     }

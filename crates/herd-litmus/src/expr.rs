@@ -8,10 +8,10 @@
 //! dependencies (Sec 5.2.1) whose addresses still resolve concretely.
 //!
 //! Choosing a read-from edge `w → r` later equates `S_r` with the write's
-//! value expression; [`Assignment`] resolves the resulting equation system.
+//! value expression; a [`Solver`] finds the [`Assignment`]s that satisfy
+//! the resulting equation system.
 
 use herd_core::event::Loc;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A symbol standing for the (yet unknown) value of one memory read;
@@ -161,10 +161,12 @@ impl RVal {
     }
 }
 
-/// A partial map from symbols to concrete values.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A partial map from symbols to concrete values, dense by symbol index
+/// (symbols are the event ids of one candidate's reads, so the table is
+/// small).
+#[derive(Clone, Debug, Default)]
 pub struct Assignment {
-    map: BTreeMap<SymId, i64>,
+    vals: Vec<Option<i64>>,
 }
 
 impl Assignment {
@@ -175,7 +177,7 @@ impl Assignment {
 
     /// The value of `s`, if assigned.
     pub fn get(&self, s: SymId) -> Option<i64> {
-        self.map.get(&s).copied()
+        self.vals.get(s.0).copied().flatten()
     }
 
     /// Binds `s` to `v`.
@@ -185,36 +187,46 @@ impl Assignment {
     /// Panics if `s` is already bound to a different value (resolution
     /// logic must check before binding).
     pub fn bind(&mut self, s: SymId, v: i64) {
-        let prev = self.map.insert(s, v);
+        let prev = self.set(s, v);
         assert!(prev.is_none() || prev == Some(v), "rebinding {s:?}");
+    }
+
+    /// Binds `s` to `v` whatever it held; returns the previous value.
+    fn set(&mut self, s: SymId, v: i64) -> Option<i64> {
+        if s.0 >= self.vals.len() {
+            self.vals.resize(s.0 + 1, None);
+        }
+        self.vals[s.0].replace(v)
     }
 
     /// Number of bound symbols.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.vals.iter().flatten().count()
     }
 
     /// Is nothing bound?
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 }
 
 /// One equation `Sym(s) == expr` produced by a read-from choice, or a path
-/// constraint `expr == const` / `expr != const` produced by a branch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Equation {
+/// constraint `expr == const` / `expr != const` produced by a branch. The
+/// expressions are borrowed, so a system is assembled per rf choice
+/// without cloning expression trees.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Equation<'e> {
     /// The read with symbol `sym` takes the value of `expr`.
     ReadsValue {
         /// The read's symbol.
         sym: SymId,
         /// The source write's value expression.
-        expr: SymExpr,
+        expr: &'e SymExpr,
     },
     /// A branch went the way requiring `expr == want` (`negated` flips it).
     Constraint {
         /// The branch condition expression.
-        expr: SymExpr,
+        expr: &'e SymExpr,
         /// The required value.
         want: i64,
         /// Whether the requirement is `!=` instead of `==`.
@@ -222,66 +234,94 @@ pub enum Equation {
     },
 }
 
-/// Resolves a system of equations, given the domain to enumerate for
+/// Resolves systems of equations, given the domain to enumerate for
 /// symbols that stay free (value cycles, e.g. genuine `lb+data` thin-air
-/// candidates, constrain values only up to equality).
-///
-/// Returns every consistent total assignment over `symbols`.
-pub fn solve(symbols: &[SymId], equations: &[Equation], domain: &[i64]) -> Vec<Assignment> {
-    let mut base = Assignment::new();
-    // Propagate forced values to a fixpoint.
-    loop {
-        let mut changed = false;
-        for eq in equations {
-            if let Equation::ReadsValue { sym, expr } = eq {
-                if base.get(*sym).is_none() {
-                    if let Some(v) = expr.eval(&base) {
-                        base.bind(*sym, v);
-                        changed = true;
+/// candidates, constrain values only up to equality). It keeps one
+/// assignment and the free-symbol odometer across calls, so solving
+/// allocates nothing once its buffers have grown to the largest system
+/// seen.
+#[derive(Clone, Debug, Default)]
+pub struct Solver {
+    asg: Assignment,
+    free: Vec<SymId>,
+    digits: Vec<usize>,
+}
+
+impl Solver {
+    /// Calls `emit` with every consistent total assignment over `symbols`.
+    ///
+    /// Forced values are propagated to a fixpoint first; the symbols left
+    /// free are then enumerated over `domain`, the first free symbol
+    /// varying slowest.
+    pub fn solve_each(
+        &mut self,
+        symbols: &[SymId],
+        equations: &[Equation<'_>],
+        domain: &[i64],
+        emit: &mut dyn FnMut(&Assignment),
+    ) {
+        let asg = &mut self.asg;
+        asg.vals.fill(None);
+        // Propagate forced values to a fixpoint.
+        loop {
+            let mut changed = false;
+            for eq in equations {
+                if let Equation::ReadsValue { sym, expr } = *eq {
+                    if asg.get(sym).is_none() {
+                        if let Some(v) = expr.eval(asg) {
+                            asg.bind(sym, v);
+                            changed = true;
+                        }
                     }
                 }
             }
+            if !changed {
+                break;
+            }
         }
-        if !changed {
-            break;
+        self.free.clear();
+        self.free.extend(symbols.iter().copied().filter(|s| asg.get(*s).is_none()));
+        let Some(&first) = domain.first() else {
+            if self.free.is_empty() && consistent(asg, equations) {
+                emit(asg);
+            }
+            return;
+        };
+        self.digits.clear();
+        self.digits.resize(self.free.len(), 0);
+        for &s in &self.free {
+            asg.set(s, first);
         }
-    }
-    let free: Vec<SymId> = symbols.iter().copied().filter(|s| base.get(*s).is_none()).collect();
-    let mut out = Vec::new();
-    enumerate_free(&free, 0, domain, &mut base, equations, &mut out);
-    out
-}
-
-fn enumerate_free(
-    free: &[SymId],
-    k: usize,
-    domain: &[i64],
-    asg: &mut Assignment,
-    equations: &[Equation],
-    out: &mut Vec<Assignment>,
-) {
-    if k == free.len() {
-        if consistent(asg, equations) {
-            out.push(asg.clone());
+        loop {
+            if consistent(asg, equations) {
+                emit(asg);
+            }
+            // Advance the odometer, the last free symbol fastest.
+            let mut k = self.free.len();
+            loop {
+                let Some(prev) = k.checked_sub(1) else { return };
+                k = prev;
+                self.digits[k] += 1;
+                if let Some(&v) = domain.get(self.digits[k]) {
+                    asg.set(self.free[k], v);
+                    break;
+                }
+                self.digits[k] = 0;
+                asg.set(self.free[k], first);
+            }
         }
-        return;
-    }
-    for &v in domain {
-        let mut next = asg.clone();
-        next.bind(free[k], v);
-        enumerate_free(free, k + 1, domain, &mut next, equations, out);
     }
 }
 
 /// Do all equations hold under a total assignment?
-pub fn consistent(asg: &Assignment, equations: &[Equation]) -> bool {
-    equations.iter().all(|eq| match eq {
-        Equation::ReadsValue { sym, expr } => match (asg.get(*sym), expr.eval(asg)) {
+pub fn consistent(asg: &Assignment, equations: &[Equation<'_>]) -> bool {
+    equations.iter().all(|eq| match *eq {
+        Equation::ReadsValue { sym, expr } => match (asg.get(sym), expr.eval(asg)) {
             (Some(a), Some(b)) => a == b,
             _ => false,
         },
         Equation::Constraint { expr, want, negated } => match expr.eval(asg) {
-            Some(v) => (v == *want) != *negated,
+            Some(v) => (v == want) != negated,
             None => false,
         },
     })
@@ -290,6 +330,13 @@ pub fn consistent(asg: &Assignment, equations: &[Equation]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every consistent total assignment over `symbols`.
+    fn solve(symbols: &[SymId], equations: &[Equation<'_>], domain: &[i64]) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        Solver::default().solve_each(symbols, equations, domain, &mut |asg| out.push(asg.clone()));
+        out
+    }
 
     #[test]
     fn xor_folds_false_dependency() {
@@ -317,12 +364,11 @@ mod tests {
     #[test]
     fn solve_propagates_chains() {
         // s0 = 1; s1 = s0 + 1.
+        let (one, succ) =
+            (SymExpr::Const(1), SymExpr::add(SymExpr::Sym(SymId(0)), SymExpr::Const(1)));
         let eqs = vec![
-            Equation::ReadsValue { sym: SymId(0), expr: SymExpr::Const(1) },
-            Equation::ReadsValue {
-                sym: SymId(1),
-                expr: SymExpr::add(SymExpr::Sym(SymId(0)), SymExpr::Const(1)),
-            },
+            Equation::ReadsValue { sym: SymId(0), expr: &one },
+            Equation::ReadsValue { sym: SymId(1), expr: &succ },
         ];
         let sols = solve(&[SymId(0), SymId(1)], &eqs, &[0]);
         assert_eq!(sols.len(), 1);
@@ -333,9 +379,10 @@ mod tests {
     fn solve_enumerates_value_cycles() {
         // s0 = s1; s1 = s0 — the thin-air shape: any domain value works,
         // but the two symbols must agree.
+        let (s0, s1) = (SymExpr::Sym(SymId(0)), SymExpr::Sym(SymId(1)));
         let eqs = vec![
-            Equation::ReadsValue { sym: SymId(0), expr: SymExpr::Sym(SymId(1)) },
-            Equation::ReadsValue { sym: SymId(1), expr: SymExpr::Sym(SymId(0)) },
+            Equation::ReadsValue { sym: SymId(0), expr: &s1 },
+            Equation::ReadsValue { sym: SymId(1), expr: &s0 },
         ];
         let sols = solve(&[SymId(0), SymId(1)], &eqs, &[0, 1]);
         assert_eq!(sols.len(), 2);
@@ -345,10 +392,31 @@ mod tests {
     }
 
     #[test]
+    fn free_symbols_vary_first_slowest_and_a_reused_solver_answers_afresh() {
+        let (s0, s1) = (SymExpr::Sym(SymId(0)), SymExpr::Sym(SymId(1)));
+        let eqs = [
+            Equation::ReadsValue { sym: SymId(0), expr: &s0 },
+            Equation::ReadsValue { sym: SymId(1), expr: &s1 },
+        ];
+        let syms = [SymId(0), SymId(1)];
+        let pairs = |sols: &[Assignment]| -> Vec<(Option<i64>, Option<i64>)> {
+            sols.iter().map(|a| (a.get(SymId(0)), a.get(SymId(1)))).collect()
+        };
+        let want = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(a, b)| (Some(a), Some(b)));
+        assert_eq!(pairs(&solve(&syms, &eqs, &[0, 1])), want);
+        let mut solver = Solver::default();
+        solver.solve_each(&syms, &eqs, &[0, 1, 2], &mut |_| {});
+        let mut again = Vec::new();
+        solver.solve_each(&syms, &eqs, &[0, 1], &mut |a| again.push(a.clone()));
+        assert_eq!(pairs(&again), want);
+    }
+
+    #[test]
     fn constraints_filter_solutions() {
+        let s0 = SymExpr::Sym(SymId(0));
         let eqs = vec![
-            Equation::ReadsValue { sym: SymId(0), expr: SymExpr::Sym(SymId(0)) },
-            Equation::Constraint { expr: SymExpr::Sym(SymId(0)), want: 1, negated: false },
+            Equation::ReadsValue { sym: SymId(0), expr: &s0 },
+            Equation::Constraint { expr: &s0, want: 1, negated: false },
         ];
         let sols = solve(&[SymId(0)], &eqs, &[0, 1, 2]);
         assert_eq!(sols.len(), 1);

@@ -79,11 +79,15 @@ impl Isa {
 
     /// Parses a litmus header name.
     pub fn from_header(s: &str) -> Option<Isa> {
-        match s.to_ascii_uppercase().as_str() {
-            "PPC" | "POWER" => Some(Isa::Power),
-            "ARM" | "ARMV7" => Some(Isa::Arm),
-            "X86" | "X86_64" => Some(Isa::X86),
-            _ => None,
+        let is = |names: [&str; 2]| names.iter().any(|n| s.eq_ignore_ascii_case(n));
+        if is(["PPC", "POWER"]) {
+            Some(Isa::Power)
+        } else if is(["ARM", "ARMV7"]) {
+            Some(Isa::Arm)
+        } else if is(["X86", "X86_64"]) {
+            Some(Isa::X86)
+        } else {
+            None
         }
     }
 }

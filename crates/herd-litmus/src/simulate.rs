@@ -390,8 +390,9 @@ struct Judgement {
     negative: usize,
     states: BTreeSet<String>,
     /// The observables the condition mentions, in first-mention order
-    /// without repeats — the fields of every rendered state.
-    atoms: Vec<StateAtom>,
+    /// without repeats — the fields of every rendered state — each with
+    /// its rendered prefix (`1:r1=`, `x=`), built once per test.
+    atoms: Vec<(StateAtom, String)>,
     /// The buffer each allowed candidate's state is rendered into;
     /// copied into `states` only when the state is new.
     buf: String,
@@ -407,18 +408,20 @@ enum StateAtom {
 
 impl Judgement {
     /// An empty accumulator for `test`, with its condition's observables
-    /// collected once.
+    /// and their prefixes collected once.
     fn new(test: &LitmusTest) -> Self {
-        let mut atoms = Vec::new();
-        let mut seen = BTreeSet::new();
-        collect_atoms(&test.condition.prop, &mut |p| match p {
-            Prop::RegEq { tid, reg, .. } if seen.insert(format!("{tid}:{reg}")) => {
-                atoms.push(StateAtom::Reg(*tid, *reg));
+        let mut atoms: Vec<(StateAtom, String)> = Vec::new();
+        collect_atoms(&test.condition.prop, &mut |p| {
+            let (atom, prefix) = match p {
+                Prop::RegEq { tid, reg, .. } => {
+                    (StateAtom::Reg(*tid, *reg), format!("{tid}:{reg}="))
+                }
+                Prop::MemEq { loc, .. } => (StateAtom::Mem(loc.clone()), format!("{loc}=")),
+                _ => return,
+            };
+            if atoms.iter().all(|(_, seen)| *seen != prefix) {
+                atoms.push((atom, prefix));
             }
-            Prop::MemEq { loc, .. } if seen.insert(loc.clone()) => {
-                atoms.push(StateAtom::Mem(loc.clone()));
-            }
-            _ => {}
         });
         Judgement {
             allowed: 0,
@@ -475,26 +478,25 @@ impl Judgement {
     }
 
     /// Renders the observable state into `buf`, in the style of litmus
-    /// logs: `1:r1=1; 1:r5=0;`.
+    /// logs: `1:r1=1; 1:r5=0;`. A register the candidate never set reads
+    /// `?`; a location it does not name reads 0.
     fn render_state(&mut self, final_regs: &FinalRegs, final_mem: &BTreeMap<String, i64>) {
-        use std::fmt::Write;
         let buf = &mut self.buf;
         buf.clear();
-        for (i, atom) in self.atoms.iter().enumerate() {
+        for (i, (atom, prefix)) in self.atoms.iter().enumerate() {
             if i > 0 {
                 buf.push(' ');
             }
-            // Writing into a String cannot fail.
-            let _ = match atom {
+            buf.push_str(prefix);
+            match atom {
                 StateAtom::Reg(tid, reg) => match final_regs.get(&(*tid, *reg)) {
-                    Some(RegFinal::Int(v)) => write!(buf, "{tid}:{reg}={v};"),
-                    Some(RegFinal::Addr(l)) => write!(buf, "{tid}:{reg}={l};"),
-                    None => write!(buf, "{tid}:{reg}=?;"),
+                    Some(RegFinal::Int(v)) => push_int(buf, *v),
+                    Some(RegFinal::Addr(l)) => buf.push_str(l),
+                    None => buf.push('?'),
                 },
-                StateAtom::Mem(loc) => {
-                    write!(buf, "{loc}={};", final_mem.get(loc).copied().unwrap_or(0))
-                }
-            };
+                StateAtom::Mem(loc) => push_int(buf, final_mem.get(loc).copied().unwrap_or(0)),
+            }
+            buf.push(';');
         }
     }
 
@@ -684,6 +686,25 @@ pub fn eval_prop_parts(
             _ => false,
         },
     }
+}
+
+/// Appends `v` in decimal, exactly as `{v}` formats it.
+fn push_int(buf: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut rest = v.unsigned_abs();
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        buf.push('-');
+    }
+    buf.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 fn collect_atoms(p: &Prop, f: &mut impl FnMut(&Prop)) {
@@ -890,6 +911,15 @@ mod tests {
                     test.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn integers_render_as_display_does() {
+        for v in [0, 7, -1, 10, -10, 1234567890, i64::MAX, i64::MIN] {
+            let mut buf = String::from("x=");
+            push_int(&mut buf, v);
+            assert_eq!(buf, format!("x={v}"));
         }
     }
 

@@ -382,11 +382,37 @@ fn staged_inputs() -> Vec<herd_litmus::program::LitmusTest> {
     for (pool, isa) in [(power_pool(), Isa::Power), (arm_pool(), Isa::Arm)] {
         tests.extend(generate_tests(&pool, 5, isa, 400).into_iter().step_by(16));
     }
-    for src in RDW_PROBES {
-        tests.push(herd_litmus::parse::parse(src).expect("rdw probe parses"));
+    for src in RDW_PROBES.into_iter().chain(AWKWARD_STATES) {
+        tests.push(herd_litmus::parse::parse(src).expect("hand-written probe parses"));
     }
     tests
 }
+
+/// Final states whose rendering is easy to get wrong: a negative value in
+/// a register and in memory (`-5`, `-2`), a register holding an address
+/// (`1:r4=w`), a register no instruction writes and no init names (`?`),
+/// and locations no thread writes, with and without an initial value
+/// (`y`, `z`).
+const AWKWARD_STATES: [&str; 2] = [
+    "PPC awkward-states
+{
+0:r2=x;
+1:r2=x; 1:r4=w;
+y=-2; w=3;
+}
+ P0           | P1           ;
+ li r1,-5     | lwz r3,0(r2) ;
+ stw r1,0(r2) | lwz r5,0(r4) ;
+exists (1:r3=-5 /\\ 1:r4=w /\\ 1:r7=0 /\\ x=-5 /\\ y=-2 /\\ z=0 /\\ 1:r5=3)
+",
+    "X86 awkward-states
+{ x=0; y=-7; }
+ P0          | P1          ;
+ mov [x],$-1 | mov eax,[x] ;
+             | mov ebx,[y] ;
+exists (1:eax=-1 /\\ 1:ebx=-7 /\\ 0:ecx=0 /\\ not (z=1) \\/ x=-1)
+",
+];
 
 /// Message passing whose reader chain is `addr; rdw; addr`: the two reads
 /// of `x` are ordered only by `rdw = po-loc ∩ (fre; rfe)` (Fig 27), so
@@ -424,6 +450,22 @@ exists (1:r1=1 /\\ 1:r5=0 /\\ 1:r6=1 /\\ 1:r9=0)
 exists (1:r1=1 /\\ 1:r5=0 /\\ 1:r6=1 /\\ 1:r9=0)
 ",
 ];
+
+/// The awkward values really reach the rendered states.
+#[test]
+fn awkward_states_render_every_kind_of_value() {
+    use herd_core::arch::Tso;
+    let opts = EnumOptions::default();
+    let [ppc, x86] = AWKWARD_STATES.map(|src| herd_litmus::parse::parse(src).expect("parses"));
+    let ppc = simulate_with(&ppc, &Power::new(), &opts).unwrap();
+    assert!(
+        ppc.states.contains("1:r3=-5; 1:r4=w; 1:r7=?; x=-5; y=-2; z=0; 1:r5=3;"),
+        "{:?}",
+        ppc.states
+    );
+    let x86 = simulate_with(&x86, &Tso, &opts).unwrap();
+    assert!(x86.states.contains("1:r0=-1; 1:r1=-7; 0:r2=?; z=0; x=-1;"), "{:?}", x86.states);
+}
 
 /// The rdw probes separate the exact ppo from its lower bound: forbidden
 /// under Power and ARM, allowed once `rdw` leaves ppo (Power-static-ppo).
